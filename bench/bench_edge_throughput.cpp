@@ -1,5 +1,5 @@
-// Edge serving throughput: thread-per-connection inline execution vs the
-// worker pool with cross-connection batching.
+// Edge serving throughput: the worker pool with cross-connection batching,
+// at a few pool shapes.
 //
 // Two served workloads, following the paper's partition-point ablation:
 //
@@ -13,37 +13,30 @@
 //       reads each weight matrix once instead of k times -- this is the
 //       regime where cross-connection batching pays.
 //
-// Four serving configs per workload:
+// Three serving configs per workload:
 //
-//   per-conn (pre-PR)  -- the baseline the PR sequence replaces: every
-//       connection thread runs the completion inline with the unpacked
-//       training kernels, forced to the scalar SIMD level -- exactly the
-//       serving stack before the worker pool (PR-5) and the SIMD kernel
-//       layer (PR-6) landed. (The binary now builds its scalar fallback
-//       and its vector kernels from one source tree, so the faithful
-//       pre-PR baseline is the scalar dispatch level.)
-//   per-conn packed    -- same per-connection architecture, but with the
-//       weights packed via prepare_edge_inference() and the native SIMD
-//       level. Isolates the kernel half of the win from the batching
-//       half.
-//   pool w=1 b=1       -- worker pool without batching: isolates queue /
-//       hand-off overhead.
-//   pool w=1 b=16      -- the shipped serving shape: pool + batcher. A
-//       single worker is deliberate on the single-core benchmark host --
-//       extra workers only split batches and add context switches.
+//   pool w=1 b=1     -- one worker, no batching: the queue / hand-off
+//       cost with nothing amortized.
+//   pool w=1 b=16    -- one worker coalescing up to 16 requests and
+//       waiting up to 200 us for stragglers: the batching-heavy shape.
+//   ServerOptions{}  -- the shipped shape: 2 workers, max_batch 8,
+//       max_wait 0 (a batch is cut the moment the queue drains).
 //
 // For each (workload, serving config, client count) cell, N concurrent
 // clients each fire a fixed number of kCompleteRequest frames
 // back-to-back at a real loopback EdgeServer and the harness reports
 // aggregate requests per second. Correctness is checked inside the
 // loop: every reply must be bit-identical to that client's precomputed
-// single-request completion under the same config, so a config can only
+// single-request completion on the same network, so a config can only
 // "win" by serving the exact same answers faster.
 //
-// A final interleaved A/B prices the ops plane itself: the same pooled
-// config with the HTTP ops server live (and a scraper hammering
-// /metrics and /tracez throughout) vs with it disabled. The acceptance
-// bar is "within noise".
+// A final interleaved A/B prices the ops plane itself: ServerOptions{}
+// with the HTTP ops server live (and a scraper hammering /metrics and
+// /tracez throughout) vs with it disabled. The acceptance bar is "within
+// noise".
+//
+// This bench sends raw frames; end-to-end numbers (browser sessions,
+// entropy exits, a per-layer split) come from perfbench/.
 //
 //   ./bench_edge_throughput [requests_per_client] [--json out.json]
 #include <algorithm>
@@ -52,7 +45,6 @@
 #include <cstdlib>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,7 +52,6 @@
 #include "bench_util.h"
 #include "common/logging.h"
 #include "common/obs/ops_server.h"
-#include "common/simd.h"
 #include "edge/server.h"
 #include "tensor/tensor_ops.h"
 
@@ -69,9 +60,8 @@ using namespace lcrs;
 namespace {
 
 /// One served workload bound to one network instance: how to build a
-/// client payload and how the edge completes it (per-sample for the
-/// direct configs, batched for the pooled ones; the two must be
-/// bit-identical per sample on the same network).
+/// client payload, the per-sample oracle, and the batched completion the
+/// server runs (bit-identical per sample to the oracle).
 struct Serving {
   std::function<Tensor(Rng&)> make_input;
   edge::CompletionFn per_sample;
@@ -108,18 +98,15 @@ struct CellResult {
 CellResult run_cell(const Serving& serving, const edge::ServerOptions& opts,
                     int n_clients, int requests_each,
                     bool scrape_during = false) {
-  auto server =
-      opts.direct_execution
-          ? std::make_unique<edge::EdgeServer>(0, serving.per_sample, opts)
-          : std::make_unique<edge::EdgeServer>(0, serving.batched, opts);
+  edge::EdgeServer server(0, serving.batched, opts);
 
   // When asked, keep a live scraper on the ops plane for the whole
   // measurement window so the A/B prices serving *while being watched*,
   // not just the idle cost of an open listener.
   std::atomic<bool> scrape_done{false};
   std::thread scraper;
-  if (scrape_during && server->ops_port() != 0) {
-    const std::uint16_t ops_port = server->ops_port();
+  if (scrape_during && server.ops_port() != 0) {
+    const std::uint16_t ops_port = server.ops_port();
     scraper = std::thread([&scrape_done, ops_port] {
       int i = 0;
       while (!scrape_done.load(std::memory_order_relaxed)) {
@@ -143,7 +130,7 @@ CellResult run_cell(const Serving& serving, const edge::ServerOptions& opts,
   for (int c = 0; c < n_clients; ++c) {
     clients.emplace_back([&, c] {
       const std::size_t idx = static_cast<std::size_t>(c);
-      edge::Socket conn = edge::connect_local(server->port());
+      edge::Socket conn = edge::connect_local(server.port());
       for (int i = 0; i < requests_each; ++i) {
         conn.send_frame(w.requests[idx]);
         auto reply = conn.recv_frame();
@@ -175,25 +162,10 @@ CellResult run_cell(const Serving& serving, const edge::ServerOptions& opts,
   r.reqs_per_sec =
       static_cast<double>(n_clients) * requests_each / (secs > 0 ? secs : 1);
   r.mismatches = mismatches.load();
-  r.batches = server->batches_dispatched();
-  r.served = server->requests_served();
-  server->stop();
+  r.batches = server.batches_dispatched();
+  r.served = server.requests_served();
+  server.stop();
   return r;
-}
-
-/// Runs one cell, optionally pinned to the scalar dispatch level for the
-/// pre-PR baseline. The override is process-wide and cells run
-/// sequentially, so the oracle, the server, and every client in a scalar
-/// cell all compute with scalar kernels -- internally bit-consistent,
-/// faithful to the pre-SIMD binary.
-CellResult run_cell_at_level(const Serving& serving,
-                             const edge::ServerOptions& opts, int n_clients,
-                             int requests_each, bool force_scalar) {
-  if (force_scalar) {
-    simd::ScopedForcedLevel force(simd::Level::kScalar);
-    return run_cell(serving, opts, n_clients, requests_each);
-  }
-  return run_cell(serving, opts, n_clients, requests_each);
 }
 
 edge::CompleteResponse probs_to_response(Tensor probs) {
@@ -203,7 +175,7 @@ edge::CompleteResponse probs_to_response(Tensor probs) {
   return r;
 }
 
-Serving conv1_serving(core::CompositeNetwork& net, bool with_batched) {
+Serving conv1_serving(core::CompositeNetwork& net) {
   Serving s;
   s.make_input = [&net](Rng& r) {
     return net.shared_stage().forward(Tensor::randn(Shape{1, 1, 28, 28}, r),
@@ -213,10 +185,7 @@ Serving conv1_serving(core::CompositeNetwork& net, bool with_batched) {
     return probs_to_response(
         softmax_rows(net.forward_main_from_shared(shared)));
   };
-  // main_branch_batch_completion() packs the net's Linear layers at
-  // construction; the pre-PR baseline must keep its unpacked kernels, so
-  // only build the batched fn for configs that actually dispatch batches.
-  if (with_batched) s.batched = edge::main_branch_batch_completion(net);
+  s.batched = edge::main_branch_batch_completion(net);
   return s;
 }
 
@@ -254,67 +223,49 @@ int main(int argc, char** argv) {
   const int requests_each = argc > 1 ? std::atoi(argv[1]) : 100;
   bench::BenchReport report("edge_throughput");
 
-  // Two networks with identical weights (same seed): `base` stays exactly
-  // as training left it and serves the pre-PR baseline; `packed` has its
-  // Linear layers packed for the transposed-weight eval GEMM, as the new
-  // serving path does at startup. Client payloads are bit-identical across
-  // the two (packing does not touch the conv stages), so every cell serves
-  // the same request stream.
+  // Weights packed for the edge eval kernels, as the serving path does at
+  // startup; the per-sample oracle runs on the same packed network.
   const models::ModelConfig cfg{models::Arch::kLeNet, 1, 28, 28, 10, 1.0};
-  Rng rng_base(2718), rng_packed(2718);
-  core::CompositeNetwork base = core::CompositeNetwork::build(cfg, rng_base);
-  core::CompositeNetwork packed =
-      core::CompositeNetwork::build(cfg, rng_packed);
-  packed.prepare_edge_inference();
+  Rng rng(2718);
+  core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
+  net.prepare_edge_inference();
 
   // Deeper partition point: the first Linear of the main rest. Clients
   // run the remaining conv/pool prefix themselves and upload the
   // flattened activation; the edge serves only the fc stack.
   std::size_t fc_split = 0;
-  while (fc_split < packed.main_rest().size() &&
-         packed.main_rest().layer(fc_split).kind() != "linear") {
+  while (fc_split < net.main_rest().size() &&
+         net.main_rest().layer(fc_split).kind() != "linear") {
     ++fc_split;
   }
 
   struct Config {
     const char* name;
     edge::ServerOptions opts;
-    bool use_packed;
-    bool force_scalar = false;
   };
   std::vector<Config> configs;
   {
-    Config pre_pr{"per-conn (pre-PR)", {}, false};
-    pre_pr.opts.direct_execution = true;
-    pre_pr.force_scalar = true;
-    configs.push_back(pre_pr);
-
-    Config direct_packed{"per-conn packed", {}, true};
-    direct_packed.opts.direct_execution = true;
-    configs.push_back(direct_packed);
-
-    Config pool_nobatch{"pool w=1 b=1", {}, true};
+    Config pool_nobatch{"pool w=1 b=1", {}};
     pool_nobatch.opts.num_workers = 1;
     pool_nobatch.opts.max_batch = 1;
     configs.push_back(pool_nobatch);
 
-    Config pool_batch{"pool w=1 b=16", {}, true};
+    Config pool_batch{"pool w=1 b=16", {}};
     pool_batch.opts.num_workers = 1;
     pool_batch.opts.max_batch = 16;
     pool_batch.opts.max_wait_us = 200.0;
     configs.push_back(pool_batch);
+
+    configs.push_back(Config{"ServerOptions{}", {}});
   }
 
   struct Case {
     const char* name;
-    Serving base_serving;
-    Serving packed_serving;
+    Serving serving;
   };
   const Case cases[] = {
-      {"conv1 partition", conv1_serving(base, /*with_batched=*/false),
-       conv1_serving(packed, /*with_batched=*/true)},
-      {"fc partition", fc_serving(base, fc_split),
-       fc_serving(packed, fc_split)},
+      {"conv1 partition", conv1_serving(net)},
+      {"fc partition", fc_serving(net, fc_split)},
   };
 
   const std::vector<int> client_counts = {1, 4, 16};
@@ -327,24 +278,19 @@ int main(int argc, char** argv) {
     for (int n : client_counts) std::printf("  %9dc", n);
     std::printf("   batches@16c\n");
 
-    std::vector<std::vector<double>> table;
     for (const Config& config : configs) {
-      const Serving& serving =
-          config.use_packed ? c.packed_serving : c.base_serving;
       std::printf("%-20s", config.name);
       std::fflush(stdout);
-      std::vector<double> row;
       std::int64_t batches16 = 0, served16 = 0;
       for (int n : client_counts) {
-        const CellResult cell = run_cell_at_level(
-            serving, config.opts, n, requests_each, config.force_scalar);
+        const CellResult cell =
+            run_cell(c.serving, config.opts, n, requests_each);
         if (cell.mismatches != 0) {
           std::printf("\nFATAL: %lld mismatched replies in %s/%s @%dc\n",
                       static_cast<long long>(cell.mismatches), c.name,
                       config.name, n);
           return 1;
         }
-        row.push_back(cell.reqs_per_sec);
         report.add(std::string(c.name) + "/" + config.name + "/" +
                        std::to_string(n) + "c",
                    "req/s", cell.reqs_per_sec);
@@ -362,58 +308,21 @@ int main(int argc, char** argv) {
                         static_cast<double>(batches16));
       }
       std::printf("\n");
-      table.push_back(row);
     }
-    const std::size_t at16 = client_counts.size() - 1;
-    std::printf("  -> speedup at 16 clients: pool w=1 b=16 vs "
-                "per-conn (pre-PR, scalar kernels) = %.2fx; vs per-conn "
-                "packed (batching only, same kernels) = %.2fx\n",
-                table[3][at16] / table[0][at16],
-                table[3][at16] / table[1][at16]);
-
-    // Headline ratio, noise-robust: the benchmark host's effective CPU
-    // speed drifts over seconds (shared machine), so cells measured far
-    // apart are not comparable. Interleave baseline and pooled cells
-    // back-to-back and take the median of per-pair ratios -- host drift
-    // hits both halves of a pair roughly equally and cancels in the
-    // ratio.
-    std::vector<double> ratios;
-    for (int rep = 0; rep < 5; ++rep) {
-      const CellResult b = run_cell_at_level(c.base_serving, configs[0].opts,
-                                             16, requests_each,
-                                             /*force_scalar=*/true);
-      const CellResult p = run_cell_at_level(c.packed_serving,
-                                             configs[3].opts, 16,
-                                             requests_each,
-                                             /*force_scalar=*/false);
-      if (b.mismatches != 0 || p.mismatches != 0) {
-        std::printf("FATAL: mismatched replies in interleaved pass\n");
-        return 1;
-      }
-      ratios.push_back(p.reqs_per_sec / b.reqs_per_sec);
-    }
-    std::sort(ratios.begin(), ratios.end());
-    std::printf("  -> interleaved A/B at 16 clients (5 pairs, pooled+SIMD "
-                "vs pre-PR scalar): median %.2fx  [min %.2fx, max %.2fx]\n",
-                ratios[ratios.size() / 2], ratios.front(), ratios.back());
-    report.add(std::string(c.name) + "/interleaved_pool_vs_prepr/16c",
-               "ratio", ratios[ratios.size() / 2], ratios.front(),
-               ratios.back(), static_cast<int>(ratios.size()));
   }
 
-  // Ops-plane tax: the shipped pooled config on the conv1 workload, ops
-  // plane live + actively scraped vs fully disabled. Same interleaving
-  // trick as above so host drift cancels in each pair's ratio; the
+  // Ops-plane tax: the shipped config on the conv1 workload, ops plane
+  // live + actively scraped vs fully disabled. The halves of each pair
+  // run back-to-back and the median of per-pair ratios is reported: the
+  // host's effective CPU speed drifts over seconds, and the drift hits
+  // both halves of a pair roughly equally and cancels in the ratio. The
   // acceptance bar is a median within measurement noise of 1.0x.
   {
-    edge::ServerOptions ops_on = {};
-    ops_on.num_workers = 1;
-    ops_on.max_batch = 16;
-    ops_on.max_wait_us = 200.0;
-    edge::ServerOptions ops_off = ops_on;
+    const edge::ServerOptions ops_off;
+    edge::ServerOptions ops_on;
     ops_on.ops_port = 0;  // ephemeral side port, flight recorder on
 
-    const Serving serving = conv1_serving(packed, /*with_batched=*/true);
+    const Serving& serving = cases[0].serving;
     std::vector<double> ratios;
     for (int rep = 0; rep < 5; ++rep) {
       const CellResult on =
@@ -427,7 +336,7 @@ int main(int argc, char** argv) {
     }
     std::sort(ratios.begin(), ratios.end());
     std::printf("\n[ops plane]\n  -> interleaved A/B at 16 clients (5 pairs, "
-                "ops on+scraped vs ops off, conv1/pool w=1 b=16): median "
+                "ops on+scraped vs ops off, conv1/ServerOptions{}): median "
                 "%.2fx  [min %.2fx, max %.2fx]\n",
                 ratios[ratios.size() / 2], ratios.front(), ratios.back());
     report.add("ops_plane/interleaved_on_vs_off/16c", "ratio",

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/obs/flight_recorder.h"
+#include "common/obs/metrics.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
 #include "core/composite.h"
@@ -238,11 +239,9 @@ class BenchReport {
     out += simd::level_name(simd::active_level());
     out += "\",\n";
     out += "    \"compiler\": \"" + obs::json_escape(__VERSION__) + "\",\n";
-#ifdef NDEBUG
-    out += "    \"build\": \"release\",\n";
-#else
-    out += "    \"build\": \"debug\",\n";
-#endif
+    out += "    \"build\": \"";
+    out += obs::build_optimized() ? "release" : "debug";
+    out += "\",\n";
     out += "    \"hardware_threads\": " +
            std::to_string(std::thread::hardware_concurrency()) + "\n  },\n";
     out += "  \"results\": [";

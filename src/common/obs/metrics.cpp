@@ -326,15 +326,19 @@ double process_uptime_seconds() {
   return static_cast<double>(steady_now_ns()) / 1e9;
 }
 
+bool build_optimized() {
+#ifdef __OPTIMIZE__
+  return true;
+#else
+  return false;
+#endif
+}
+
 void register_process_gauges() {
   Registry& g = Registry::global();
   g.gauge(names::kProcessSimdLevel)
       .set(static_cast<double>(static_cast<int>(simd::active_level())));
-#ifdef NDEBUG
-  g.gauge(names::kProcessBuildDebug).set(0.0);
-#else
-  g.gauge(names::kProcessBuildDebug).set(1.0);
-#endif
+  g.gauge(names::kProcessBuildDebug).set(build_optimized() ? 0.0 : 1.0);
   g.gauge(names::kProcessHardwareThreads)
       .set(static_cast<double>(std::thread::hardware_concurrency()));
   g.gauge(names::kProcessUptimeSeconds).set(process_uptime_seconds());

@@ -241,6 +241,12 @@ class MirroredHistogram {
 void register_process_gauges();
 void update_process_gauges();
 
+/// True when this library was compiled with optimization. Keyed on
+/// __OPTIMIZE__, not NDEBUG: the release flags keep assertions on, so
+/// NDEBUG says nothing about the build type. The one source for every
+/// build label (/statusz, bench reports, the process.build_debug gauge).
+bool build_optimized();
+
 /// Seconds since the process-local steady-clock anchor (what the uptime
 /// gauge reports; also used by /statusz).
 double process_uptime_seconds();

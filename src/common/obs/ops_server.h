@@ -87,7 +87,7 @@ HttpResponse ops_respond(const HttpRequest& req, const OpsHooks& hooks);
 
 struct OpsOptions {
   std::size_t max_request_bytes = 8192;  // request head cap -> 431 beyond
-  double request_timeout_ms = 2000.0;    // per-connection read+write budget
+  double request_timeout_ms = 2000.0;    // read+write budget of one connection
 
   void validate() const;
 };

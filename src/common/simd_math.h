@@ -7,7 +7,7 @@
 //     std::tanh is a few ULP (< 1e-6 absolute); the bound is pinned by
 //     the parity test in test_numerics.
 //   - every other level (including LCRS_SIMD=scalar): an exact std::tanh
-//     loop -- the pre-PR behaviour. SSE/NEON fall back to scalar; this is
+//     loop, as before vectorization. SSE/NEON fall back to scalar; this is
 //     the per-kernel fallback documented in common/simd.h.
 //
 // The AVX2 path routes the final < 8 elements through the same 8-wide

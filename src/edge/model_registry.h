@@ -42,7 +42,7 @@
 namespace lcrs::edge {
 
 /// Completes a conv1 feature map into (label, probabilities). Invoked
-/// concurrently from worker (or, in direct mode, connection) threads.
+/// concurrently from the server's worker threads.
 using CompletionFn = std::function<CompleteResponse(const Tensor& shared)>;
 
 /// Batched completion: a [k, C, H, W] stack of conv1 feature maps from k

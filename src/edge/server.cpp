@@ -16,14 +16,6 @@
 
 namespace lcrs::edge {
 
-CompletionFn serialize_completion(CompletionFn inner) {
-  auto mutex = std::make_shared<Mutex>("edge.server.completion");
-  return [mutex, inner = std::move(inner)](const Tensor& shared) {
-    MutexLock lock(*mutex);
-    return inner(shared);
-  };
-}
-
 BatchCompletionFn per_sample_batch(CompletionFn per_sample) {
   LCRS_CHECK(per_sample != nullptr, "per_sample_batch needs a completion fn");
   return [per_sample = std::move(per_sample)](const Tensor& batch) {
@@ -104,17 +96,13 @@ EdgeServer::EdgeServer(std::uint16_t port,
   // (or any /statusz probe) already sees the serving shape.
   obs::register_process_gauges();
   obs::MirroredGauge(metrics_, obs::names::kServerWorkerPoolSize)
-      .set(opts_.direct_execution ? 0.0
-                                  : static_cast<double>(opts_.num_workers));
+      .set(static_cast<double>(opts_.num_workers));
   obs::MirroredGauge(metrics_, obs::names::kServerMaxBatch)
-      .set(opts_.direct_execution ? 1.0
-                                  : static_cast<double>(opts_.max_batch));
+      .set(static_cast<double>(opts_.max_batch));
   ready_gauge_.set(1.0);
-  if (!opts_.direct_execution) {
-    workers_.reserve(static_cast<std::size_t>(opts_.num_workers));
-    for (int i = 0; i < opts_.num_workers; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
+  workers_.reserve(static_cast<std::size_t>(opts_.num_workers));
+  for (int i = 0; i < opts_.num_workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
   acceptor_ = std::thread([this] { accept_loop(); });
   if (opts_.ops_port >= 0) {
@@ -130,12 +118,8 @@ EdgeServer::EdgeServer(std::uint16_t port,
     LCRS_DEBUG("ops plane listening on 127.0.0.1:" << ops_->port());
   }
   LCRS_DEBUG("edge server listening on 127.0.0.1:"
-             << listener_.port() << " ("
-             << (opts_.direct_execution
-                     ? "direct execution"
-                     : std::to_string(opts_.num_workers) + " workers, max "
-                           "batch " + std::to_string(opts_.max_batch))
-             << ")");
+             << listener_.port() << " (" << opts_.num_workers
+             << " workers, max batch " << opts_.max_batch << ")");
 }
 
 EdgeServer::~EdgeServer() { stop(); }
@@ -153,17 +137,11 @@ std::string EdgeServer::status_json() const {
   std::ostringstream os;
   os << "{\"uptime_seconds\":" << obs::process_uptime_seconds()
      << ",\"simd_level\":\"" << simd::level_name(simd::active_level())
-#ifdef NDEBUG
-     << "\",\"build\":\"release"
-#else
-     << "\",\"build\":\"debug"
-#endif
+     << "\",\"build\":\"" << (obs::build_optimized() ? "release" : "debug")
      << "\",\"compiler\":\"" << obs::json_escape(__VERSION__)
      << "\",\"port\":" << listener_.port()
      << ",\"ops_port\":" << (ops_ != nullptr ? ops_->port() : 0)
      << ",\"ready\":" << (ready() ? "true" : "false")
-     << ",\"direct_execution\":"
-     << (opts_.direct_execution ? "true" : "false")
      << ",\"num_workers\":" << opts_.num_workers
      << ",\"max_batch\":" << opts_.max_batch
      << ",\"max_wait_us\":" << opts_.max_wait_us
@@ -366,12 +344,8 @@ void EdgeServer::serve_connection(Socket& conn) {
           obs::Span span(trace_id, obs::names::kSpanEdgeDeserialize);
           shared = parse_complete_request(frame->payload);
         }
-        if (opts_.direct_execution) {
-          serve_request_direct(conn, shared, trace_id, std::move(model));
-        } else {
-          serve_request_queued(conn, std::move(shared), trace_id,
-                               std::move(model));
-        }
+        serve_request_queued(conn, std::move(shared), trace_id,
+                             std::move(model));
         break;
       }
       case MsgType::kShutdown:
@@ -383,34 +357,6 @@ void EdgeServer::serve_connection(Socket& conn) {
         throw ParseError("unexpected frame type at server");
     }
   }
-}
-
-void EdgeServer::serve_request_direct(
-    Socket& conn, const Tensor& shared, std::uint64_t trace_id,
-    std::shared_ptr<const ServableModel> model) {
-  const std::uint32_t model_id = model->model_id;
-  Stopwatch watch;
-  std::vector<CompleteResponse> resp;
-  {
-    obs::Span span(trace_id, obs::names::kSpanEdgeComplete);
-    resp = model->complete(shared);
-  }
-  completion_us_.record(watch.micros());
-  LCRS_CHECK(resp.size() == 1,
-             "direct completion returned " << resp.size() << " responses");
-  batch_size_.record(1.0);
-  batches_.add();
-  {
-    obs::Span span(trace_id, obs::names::kSpanEdgeSerialize);
-    conn.send_frame(Frame{MsgType::kCompleteResponse,
-                          make_complete_response(resp.front()), trace_id,
-                          model_id});
-  }
-  requests_.add();
-  obs::MirroredCounter(metrics_,
-                       obs::names::model_metric(model_id, "requests"))
-      .add();
-  obs::flight_record_finish(trace_id, false, "edge.served");
 }
 
 void EdgeServer::serve_request_queued(

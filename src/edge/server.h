@@ -64,10 +64,6 @@ namespace lcrs::edge {
 // CompletionFn / BatchCompletionFn live in edge/model_registry.h (a
 // ServableModel snapshot carries the batched completion).
 
-/// Wraps a non-thread-safe completion in a mutex (layer forward() caches
-/// are not concurrency-safe in train mode).
-CompletionFn serialize_completion(CompletionFn inner);
-
 /// Adapts a per-sample completion to the batch interface by slicing the
 /// batch and completing rows one at a time. Correct for any completion
 /// but forfeits GEMM amortization; prefer main_branch_batch_completion.
@@ -75,19 +71,15 @@ BatchCompletionFn per_sample_batch(CompletionFn per_sample);
 
 /// The real batched edge completion: one core::complete_main_batch
 /// Sequential forward over the whole stack. Eval-mode forwards are
-/// thread-safe, so no serialization wrapper is needed.
+/// thread-safe, so workers call it concurrently without a lock.
 BatchCompletionFn main_branch_batch_completion(core::CompositeNetwork& net);
 
 /// Serving-path configuration. Defaults favor throughput with no added
 /// latency when idle: workers cut a batch as soon as the queue drains
-/// (max_wait_us == 0), so an unloaded server behaves like the sequential
-/// path, and batches only form when requests actually queue up.
+/// (max_wait_us == 0), so an unloaded server completes each request
+/// alone as it arrives, and batches only form when requests actually
+/// queue up.
 struct ServerOptions {
-  /// Run completions inline on connection threads (the pre-pool serving
-  /// path). Kept for comparison benchmarks; no queue, no batching, no
-  /// admission control.
-  bool direct_execution = false;
-
   int num_workers = 2;  // worker pool size (>= 1)
 
   /// Max requests coalesced into one batched forward (>= 1).
@@ -221,9 +213,6 @@ class EdgeServer {
   void accept_loop() LCRS_EXCLUDES(conns_mutex_);
   void serve_connection(Socket& conn)
       LCRS_EXCLUDES(conns_mutex_, queue_mutex_);
-  void serve_request_direct(Socket& conn, const Tensor& shared,
-                            std::uint64_t trace_id,
-                            std::shared_ptr<const ServableModel> model);
   void serve_request_queued(Socket& conn, Tensor shared,
                             std::uint64_t trace_id,
                             std::shared_ptr<const ServableModel> model)

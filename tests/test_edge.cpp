@@ -578,46 +578,6 @@ TEST(EdgeServer, ServesConcurrentClients) {
   EXPECT_EQ(server.connections_accepted(), kClients);
 }
 
-TEST(EdgeServer, SerializeCompletionGuardsSharedState) {
-  int concurrent = 0;
-  int max_concurrent = 0;
-  lcrs::Mutex probe_mutex{"test.edge.probe"};
-  CompletionFn raw = [&](const Tensor&) {
-    {
-      lcrs::MutexLock lock(probe_mutex);
-      ++concurrent;
-      max_concurrent = std::max(max_concurrent, concurrent);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    {
-      lcrs::MutexLock lock(probe_mutex);
-      --concurrent;
-    }
-    CompleteResponse r;
-    r.label = 1;
-    r.probabilities = Tensor::ones(Shape{1, 2});
-    return r;
-  };
-  EdgeServer server(0, serialize_completion(std::move(raw)));
-
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 3; ++c) {
-    clients.emplace_back([&] {
-      Socket conn = connect_local(server.port());
-      conn.send_frame(Frame{MsgType::kCompleteRequest,
-                            make_complete_request(Tensor{Shape{1, 2}})});
-      (void)conn.recv_frame();
-    });
-  }
-  for (auto& t : clients) t.join();
-  EXPECT_EQ(max_concurrent, 1);  // serialized despite concurrent clients
-  // The served counter increments after the reply is written; poll.
-  for (int i = 0; i < 200 && server.requests_served() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(server.requests_served(), 3);
-}
-
 TEST(LocalRuntime, TimelineReflectsExitDecision) {
   Rng rng(5);
   core::CompositeNetwork net = make_net(rng);

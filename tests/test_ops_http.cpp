@@ -50,8 +50,20 @@ TEST(OpsHttp, LiveEndpointsServeAndReport) {
   obs::FlightRecorder::global().clear();
   Rng rng(11);
   core::CompositeNetwork net = make_net(rng);
-  EdgeServer server(0, completion_for(net), with_ops());
+  ServerOptions opts = with_ops();
+  opts.num_workers = 3;  // off the defaults, so the checks below bite
+  opts.max_batch = 5;
+  EdgeServer server(0, completion_for(net), opts);
   ASSERT_NE(server.ops_port(), 0);
+
+  // The reported serving shape is the one passed in.
+  const obs::Snapshot shape = server.metrics().snapshot();
+  const auto* pool = shape.find_gauge(obs::names::kServerWorkerPoolSize);
+  const auto* max_batch = shape.find_gauge(obs::names::kServerMaxBatch);
+  ASSERT_NE(pool, nullptr);
+  ASSERT_NE(max_batch, nullptr);
+  EXPECT_EQ(pool->value, 3.0);
+  EXPECT_EQ(max_batch->value, 5.0);
 
   EXPECT_EQ(obs::http_get(server.ops_port(), "/healthz").body, "ok\n");
   EXPECT_EQ(obs::http_get(server.ops_port(), "/readyz").status, 200);
@@ -80,6 +92,10 @@ TEST(OpsHttp, LiveEndpointsServeAndReport) {
         "\"queue_capacity\"", "\"ready\""}) {
     EXPECT_NE(statusz.body.find(key), std::string::npos) << key;
   }
+  EXPECT_NE(statusz.body.find("\"num_workers\":3,"), std::string::npos)
+      << statusz.body;
+  EXPECT_NE(statusz.body.find("\"max_batch\":5,"), std::string::npos)
+      << statusz.body;
 
   EXPECT_EQ(obs::http_get(server.ops_port(), "/tracez").status, 200);
   EXPECT_EQ(obs::http_get(server.ops_port(), "/nope").status, 404);

@@ -478,7 +478,17 @@ TEST(ProcessGauges, RegisteredAndRefreshed) {
   ASSERT_NE(threads, nullptr);
   EXPECT_GE(threads->value, 1.0);
 
-  ASSERT_NE(snap.find_gauge(names::kProcessBuildDebug), nullptr);
+  // The build label follows optimization, not NDEBUG (release builds
+  // keep assertions on).
+  const auto* build_debug = snap.find_gauge(names::kProcessBuildDebug);
+  ASSERT_NE(build_debug, nullptr);
+#ifdef __OPTIMIZE__
+  EXPECT_EQ(build_debug->value, 0.0);
+  EXPECT_TRUE(build_optimized());
+#else
+  EXPECT_EQ(build_debug->value, 1.0);
+  EXPECT_FALSE(build_optimized());
+#endif
 }
 
 TEST(ProcessGauges, SimdLevelTracksForcedOverride) {
