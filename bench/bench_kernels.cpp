@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "binary/binary_conv2d.h"
@@ -19,7 +20,9 @@
 #include "binary/xnor_gemm.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "nn/activations.h"
 #include "nn/conv2d.h"
+#include "nn/pooling.h"
 #include "tensor/gemm.h"
 
 namespace lcrs {
@@ -243,6 +246,63 @@ void BM_BinaryConv2dXnor(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * conv.flops_per_sample());
 }
 BENCHMARK(BM_BinaryConv2dXnor)->Arg(32)->Arg(64)->Arg(128);
+
+// Eval forwards of the AlexNet-half elementwise and pooling layers, at the
+// conv1 output [1, 32, 32, 32] and the main-rest [1, 96, 16, 16] maps.
+// Each output must equal a plain per-element reference loop bit for bit.
+void BM_ReLUForward(benchmark::State& state) {
+  const std::int64_t c = state.range(0), hw = state.range(1);
+  Rng rng(5);
+  const Tensor x = Tensor::randn(Shape{1, c, hw, hw}, rng);
+  Tensor ref(x.shape());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    ref[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  }
+  nn::ReLU relu;
+  for (auto _ : state) {
+    Tensor y = relu.forward(x, false);
+    benchmark::DoNotOptimize(y.data());
+    state.PauseTiming();
+    if (!verify(state, y.data(), ref.data(), y.numel(), 0.0f, "relu")) return;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_ReLUForward)->Args({32, 32})->Args({96, 16});
+
+void BM_MaxPool2dEval(benchmark::State& state) {
+  const std::int64_t c = state.range(0), hw = state.range(1);
+  Rng rng(6);
+  const Tensor x = Tensor::randn(Shape{1, c, hw, hw}, rng);
+  const std::int64_t ohw = hw / 2;
+  Tensor ref{Shape{1, c, ohw, ohw}};
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    for (std::int64_t y = 0; y < ohw; ++y) {
+      for (std::int64_t xx = 0; xx < ohw; ++xx) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (std::int64_t ky = 0; ky < 2; ++ky) {
+          for (std::int64_t kx = 0; kx < 2; ++kx) {
+            const float v = x.at4(0, ch, 2 * y + ky, 2 * xx + kx);
+            if (v > best) best = v;
+          }
+        }
+        ref.at4(0, ch, y, xx) = best;
+      }
+    }
+  }
+  nn::MaxPool2d pool(2, 2);
+  for (auto _ : state) {
+    Tensor y = pool.forward(x, false);
+    benchmark::DoNotOptimize(y.data());
+    state.PauseTiming();
+    if (!verify(state, y.data(), ref.data(), y.numel(), 0.0f, "maxpool")) {
+      return;
+    }
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_MaxPool2dEval)->Args({32, 32})->Args({96, 16});
 
 }  // namespace
 }  // namespace lcrs

@@ -47,6 +47,14 @@ Encodes rules no generic tool knows about this codebase:
                 non-empty committed corpus under fuzz/corpus/<name>/ --
                 an unregistered harness silently never runs, an empty
                 corpus replays nothing.
+  tensor-index-hot
+                Inference-path bodies -- functions named forward* or
+                run_* in src/nn, src/binary and src/webinfer -- may not
+                subscript a Tensor-typed parameter or local (`x[i]`).
+                Tensor::operator[] bounds-checks every element, which
+                keeps the loop scalar; hot loops index through data()
+                over a numel() hoisted once. Cold paths (per-channel
+                setup, tiny reductions) are allowlisted by function.
   wire-resize   Parser code in src/ may not size an allocation
                 (resize/reserve/container construction) from a value
                 read off the wire (ByteReader read_u32/u64/i64) without
@@ -141,6 +149,13 @@ SIMD_EXEMPT_FILES = {
     "src/binary/bitmatrix.cpp",
     "src/binary/xnor_gemm.cpp",
 }
+
+# Inference-path bodies the tensor-index-hot rule scans: forward,
+# forward_fast, forward_shared, ..., and the webinfer run_* op kernels.
+HOT_FUNC = re.compile(r"(?:^|::)(?:forward\w*|run_\w+)$")
+HOT_DIRS = ("src/nn/", "src/binary/", "src/webinfer/")
+# Tensor-typed parameter or local declaration: captures the name.
+TENSOR_DECL = re.compile(r"\bTensor\s*[&*]?\s*&?\s*(\w+)\s*(?=[,)=({;]|$)")
 
 # A local variable (or member) assigned straight from a ByteReader length/
 # count read. The captured name is then tracked forward for allocation use.
@@ -300,6 +315,34 @@ class Linter:
                     f"{name}() takes Tensor args but has no LCRS_CHECK/"
                     "LCRS_ASSERT shape validation", symbol=name)
 
+    def lint_tensor_index_hot(self, path: Path, code: str) -> None:
+        rel = path.relative_to(REPO).as_posix()
+        if path.suffix != ".cpp" or not rel.startswith(HOT_DIRS):
+            return
+        pos = 0
+        while True:
+            m = FUNC_DEF.search(code, pos)
+            if not m:
+                break
+            open_brace = m.end() - 1
+            end = body_span(code, open_brace)
+            pos = end
+            name = m.group("name")
+            if not HOT_FUNC.search(name):
+                continue
+            body = code[open_brace:end]
+            tensors = set(TENSOR_DECL.findall(m.group("params")))
+            tensors |= set(TENSOR_DECL.findall(body))
+            for var in sorted(tensors):
+                hit = re.search(rf"(?<![\w.>]){var}\s*\[", body)
+                if hit:
+                    line = code.count("\n", 0, open_brace + hit.start()) + 1
+                    self.report(
+                        "tensor-index-hot", path, line,
+                        f"{name}() subscripts Tensor `{var}` -- index "
+                        "through data() over a hoisted numel()",
+                        symbol=name)
+
     def lint_raw_sync(self, path: Path, code: str) -> None:
         rel = path.relative_to(REPO).as_posix()
         if rel in RAW_SYNC_EXEMPT:
@@ -414,6 +457,7 @@ class Linter:
                     self.lint_metric_names(path, code)
                     self.lint_simd_intrinsics(path, code)
             self.lint_kernel_checks(path, code)
+            self.lint_tensor_index_hot(path, code)
         self.lint_fuzz_registration()
         for rule, rel, line, detail in self.violations:
             print(f"{rel}:{line}: [{rule}] {detail}")

@@ -111,7 +111,7 @@ Tensor BinaryConv2d::backward(const Tensor& grad_output) {
   }
 
   // Eq. 6 for the master weights; Eq. 5 STE for the input.
-  add_inplace(weight_.grad,
+  add_inplace(weight_.grad_buffer(),
               eq6_weight_grad(grad_west, weight_.value, cached_bin_.alpha));
   return ste_clip(grad_sign_input, input);
 }

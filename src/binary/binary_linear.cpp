@@ -58,13 +58,14 @@ Tensor BinaryLinear::backward(const Tensor& grad_output) {
 
   // Fold the constant beta/alpha scales in; bias sees the raw gradient.
   Tensor g_eff{Shape{n, out_}};
+  float* bias_grad = has_bias_ ? bias_.grad_buffer().data() : nullptr;
   for (std::int64_t b = 0; b < n; ++b) {
     const float bv = cached_beta_[b];
     const float* g = grad_output.data() + b * out_;
     float* o = g_eff.data() + b * out_;
     for (std::int64_t oc = 0; oc < out_; ++oc) {
       o[oc] = g[oc] * bv * cached_bin_.alpha[oc];
-      if (has_bias_) bias_.grad[oc] += g[oc];
+      if (has_bias_) bias_grad[oc] += g[oc];
     }
   }
 
@@ -72,7 +73,7 @@ Tensor BinaryLinear::backward(const Tensor& grad_output) {
   Tensor grad_west{Shape{out_, in_}};
   gemm_at(g_eff.data(), cached_sign_input_.data(), grad_west.data(), out_, n,
           in_);
-  add_inplace(weight_.grad,
+  add_inplace(weight_.grad_buffer(),
               eq6_weight_grad(grad_west, weight_.value, cached_bin_.alpha));
 
   // d sign(x) [n x in] = g_eff [n x out] . sign(W) [out x in]

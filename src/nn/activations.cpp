@@ -3,14 +3,12 @@
 #include <cmath>
 
 #include "common/simd_math.h"
+#include "tensor/tensor_ops.h"
 
 namespace lcrs::nn {
 
 Tensor ReLU::forward(const Tensor& input, bool train) {
-  Tensor out(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    out[i] = input[i] > 0.0f ? input[i] : 0.0f;
-  }
+  Tensor out = relu(input);
   if (train) cached_input_ = input;
   return out;
 }
@@ -47,11 +45,7 @@ Tensor Tanh::backward(const Tensor& grad_output) {
 }
 
 Tensor HardTanh::forward(const Tensor& input, bool train) {
-  Tensor out(input.shape());
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    const float x = input[i];
-    out[i] = x > 1.0f ? 1.0f : (x < -1.0f ? -1.0f : x);
-  }
+  Tensor out = hard_tanh(input);
   if (train) cached_input_ = input;
   return out;
 }

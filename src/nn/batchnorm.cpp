@@ -129,9 +129,11 @@ Tensor BatchNorm::backward(const Tensor& grad_output) {
       }
     }
   }
+  Tensor& beta_grad = beta_.grad_buffer();
+  Tensor& gamma_grad = gamma_.grad_buffer();
   for (std::int64_t c = 0; c < channels_; ++c) {
-    beta_.grad[c] += static_cast<float>(sum_g[static_cast<std::size_t>(c)]);
-    gamma_.grad[c] += static_cast<float>(sum_gx[static_cast<std::size_t>(c)]);
+    beta_grad[c] += static_cast<float>(sum_g[static_cast<std::size_t>(c)]);
+    gamma_grad[c] += static_cast<float>(sum_gx[static_cast<std::size_t>(c)]);
   }
 
   Tensor grad_input{input_shape_};

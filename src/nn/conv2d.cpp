@@ -112,13 +112,14 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   // the single-core target gains nothing from sharding it.
   std::vector<float> cols(static_cast<std::size_t>(patch * pixels));
   std::vector<float> dcols(static_cast<std::size_t>(patch * pixels));
+  float* weight_grad = weight_.grad_buffer().data();
+  float* bias_grad = has_bias_ ? bias_.grad_buffer().data() : nullptr;
   for (std::int64_t b = 0; b < n; ++b) {
     const float* gout = grad_output.data() + b * out_c_ * pixels;
     im2col(input.data() + b * in_image, geom_, cols.data());
 
     // dW += gout[out_c x pixels] * cols^T[pixels x patch]
-    gemm_bt(gout, cols.data(), weight_.grad.data(), out_c_, pixels, patch,
-            1.0f);
+    gemm_bt(gout, cols.data(), weight_grad, out_c_, pixels, patch, 1.0f);
 
     // dcols = W^T[patch x out_c] * gout[out_c x pixels]
     gemm_at(weight_.value.data(), gout, dcols.data(), patch, out_c_, pixels);
@@ -129,7 +130,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         const float* grow = gout + oc * pixels;
         float acc = 0.0f;
         for (std::int64_t p = 0; p < pixels; ++p) acc += grow[p];
-        bias_.grad[oc] += acc;
+        bias_grad[oc] += acc;
       }
     }
   }

@@ -16,17 +16,23 @@
 namespace lcrs::nn {
 
 /// A trainable parameter: value plus accumulated gradient of the same
-/// shape. Layers own their Params; optimizers mutate them through
-/// Layer::params().
+/// shape. The gradient is allocated, as zeros, on first use (zero_grad()
+/// or a backward accumulation), so a network that only serves holds no
+/// gradient memory. Layers own their Params; optimizers mutate them
+/// through Layer::params().
 struct Param {
   std::string name;
   Tensor value;
-  Tensor grad;
+  Tensor grad;  // empty until grad_buffer() first runs
 
-  Param(std::string n, Tensor v)
-      : name(std::move(n)), value(std::move(v)), grad(value.shape()) {}
+  Param(std::string n, Tensor v) : name(std::move(n)), value(std::move(v)) {}
 
-  void zero_grad() { grad.fill(0.0f); }
+  /// The gradient, allocated as zeros on first use.
+  Tensor& grad_buffer() {
+    if (!grad.same_shape(value)) grad = Tensor(value.shape());
+    return grad;
+  }
+  void zero_grad() { grad_buffer().fill(0.0f); }
   std::int64_t numel() const { return value.numel(); }
 };
 

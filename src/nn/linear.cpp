@@ -61,12 +61,13 @@ Tensor Linear::backward(const Tensor& grad_output) {
              "linear grad_output shape mismatch");
 
   // dW[out x in] += gout^T[out x n] * x[n x in]
-  gemm_at(grad_output.data(), input.data(), weight_.grad.data(), out_, n,
-          in_, 1.0f);
+  gemm_at(grad_output.data(), input.data(), weight_.grad_buffer().data(),
+          out_, n, in_, 1.0f);
   if (has_bias_) {
+    Tensor& bias_grad = bias_.grad_buffer();
     for (std::int64_t b = 0; b < n; ++b) {
       const float* row = grad_output.data() + b * out_;
-      for (std::int64_t o = 0; o < out_; ++o) bias_.grad[o] += row[o];
+      for (std::int64_t o = 0; o < out_; ++o) bias_grad[o] += row[o];
     }
   }
   // dx[n x in] = gout[n x out] * W[out x in]

@@ -40,7 +40,7 @@ void Sgd::step(const std::vector<Param*>& params) {
   check_step_inputs(params);
   for (Param* p : params) {
     Tensor& val = p->value;
-    Tensor& grad = p->grad;
+    Tensor& grad = p->grad_buffer();
     if (momentum_ > 0.0) {
       auto [it, inserted] = velocity_.try_emplace(p, val.shape());
       Tensor& vel = it->second;
@@ -97,7 +97,7 @@ void Adam::step(const std::vector<Param*>& params) {
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   for (Param* p : params) {
     Tensor& val = p->value;
-    Tensor& grad = p->grad;
+    Tensor& grad = p->grad_buffer();
     Tensor& m = m_.try_emplace(p, val.shape()).first->second;
     Tensor& v = v_.try_emplace(p, val.shape()).first->second;
     for (std::int64_t i = 0; i < val.numel(); ++i) {

@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "tensor/tensor_ops.h"
+
 namespace lcrs::nn {
 
 namespace {
@@ -18,15 +20,17 @@ MaxPool2d::MaxPool2d(std::int64_t kernel, std::int64_t stride)
 
 Tensor MaxPool2d::forward(const Tensor& input, bool train) {
   LCRS_CHECK(input.rank() == 4, "maxpool expects NCHW");
+  // Eval skips the argmax bookkeeping; the shared kernel runs the same
+  // `v > best` scan, so both paths return the same values bit for bit.
+  if (!train) return max_pool2d(input, kernel_, stride_);
   const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                      w = input.dim(3);
   const std::int64_t oh = pooled_extent(h, kernel_, stride_);
   const std::int64_t ow = pooled_extent(w, kernel_, stride_);
   Tensor out{Shape{n, c, oh, ow}};
-  if (train) {
-    input_shape_ = input.shape();
-    argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
-  }
+  input_shape_ = input.shape();
+  argmax_.assign(static_cast<std::size_t>(out.numel()), 0);
+  float* dst = out.data();
   std::int64_t oi = 0;
   for (std::int64_t b = 0; b < n; ++b) {
     for (std::int64_t ch = 0; ch < c; ++ch) {
@@ -47,8 +51,8 @@ Tensor MaxPool2d::forward(const Tensor& input, bool train) {
               }
             }
           }
-          out[oi] = best;
-          if (train) argmax_[static_cast<std::size_t>(oi)] = best_idx;
+          dst[oi] = best;
+          argmax_[static_cast<std::size_t>(oi)] = best_idx;
         }
       }
     }
@@ -79,22 +83,20 @@ Tensor AvgPool2d::forward(const Tensor& input, bool train) {
                      w = input.dim(3);
   const std::int64_t oh = pooled_extent(h, kernel_, stride_);
   const std::int64_t ow = pooled_extent(w, kernel_, stride_);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
+  const std::int64_t k = kernel_, s = stride_;
+  const float inv = 1.0f / static_cast<float>(k * k);
   Tensor out{Shape{n, c, oh, ow}};
-  std::int64_t oi = 0;
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = input.data() + (b * c + ch) * h * w;
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t x = 0; x < ow; ++x, ++oi) {
-          float acc = 0.0f;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              acc += plane[(y * stride_ + ky) * w + (x * stride_ + kx)];
-            }
-          }
-          out[oi] = acc * inv;
+  float* dst = out.data();
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    const float* plane = input.data() + p * h * w;
+    for (std::int64_t y = 0; y < oh; ++y) {
+      for (std::int64_t x = 0; x < ow; ++x) {
+        const float* window = plane + y * s * w + x * s;
+        float acc = 0.0f;
+        for (std::int64_t ky = 0; ky < k; ++ky) {
+          for (std::int64_t kx = 0; kx < k; ++kx) acc += window[ky * w + kx];
         }
+        *dst++ = acc * inv;
       }
     }
   }

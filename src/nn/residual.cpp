@@ -4,6 +4,18 @@
 
 namespace lcrs::nn {
 
+namespace {
+// The block's in-place ReLU: `x < 0` lanes become +0; NaN and -0 pass
+// through unchanged.
+void clamp_negatives(Tensor& t) {
+  float* p = t.data();
+  const std::int64_t n = t.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    if (p[i] < 0.0f) p[i] = 0.0f;
+  }
+}
+}  // namespace
+
 ResidualBlock::ResidualBlock(std::int64_t in_c, std::int64_t out_c,
                              std::int64_t stride, std::int64_t in_h,
                              std::int64_t in_w, Rng& rng)
@@ -29,9 +41,7 @@ Tensor ResidualBlock::forward(const Tensor& input, bool train) {
   Tensor main = conv1_->forward(input, train);
   main = bn1_->forward(main, train);
   if (train) cached_relu1_in_ = main;
-  for (std::int64_t i = 0; i < main.numel(); ++i) {
-    if (main[i] < 0.0f) main[i] = 0.0f;
-  }
+  clamp_negatives(main);
   main = conv2_->forward(main, train);
   main = bn2_->forward(main, train);
 
@@ -42,9 +52,7 @@ Tensor ResidualBlock::forward(const Tensor& input, bool train) {
   }
   add_inplace(main, sc);
   if (train) cached_sum_ = main;
-  for (std::int64_t i = 0; i < main.numel(); ++i) {
-    if (main[i] < 0.0f) main[i] = 0.0f;
-  }
+  clamp_negatives(main);
   return main;
 }
 

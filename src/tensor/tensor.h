@@ -7,6 +7,12 @@
 //    Moves are cheap; kernels pass by const& / return by value.
 //  * Element type is float only -- the paper's models are float32 with a
 //    separate bit-packed representation in src/binary for the XNOR path.
+//  * Invariant: storage size == shape().numel() for every constructed
+//    tensor (the default tensor is the empty Shape{0}, not a rank-0
+//    scalar), so numel() reads the storage size in O(1). Hot loops index
+//    through data() over a numel() hoisted once; the bounds-checked
+//    operator[] is for cold code and tests. A moved-from tensor holds no
+//    storage (numel() == 0) and is only fit to be assigned or destroyed.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +25,8 @@ namespace lcrs {
 
 class Tensor {
  public:
-  Tensor() = default;
+  /// The empty tensor, Shape{0}: numel() == 0 and no storage.
+  Tensor() : shape_{0} {}
 
   /// Allocates a zero-initialized tensor of the given shape.
   explicit Tensor(Shape shape)
@@ -48,7 +55,9 @@ class Tensor {
   static Tensor kaiming(Shape shape, Rng& rng, std::int64_t fan_in);
 
   const Shape& shape() const { return shape_; }
-  std::int64_t numel() const { return shape_.numel(); }
+  std::int64_t numel() const {
+    return static_cast<std::int64_t>(data_.size());
+  }
   std::int64_t dim(std::int64_t i) const { return shape_[i]; }
   std::int64_t rank() const { return shape_.rank(); }
 

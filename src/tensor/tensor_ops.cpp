@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace lcrs {
 
@@ -133,6 +134,82 @@ Tensor sign(const Tensor& a) {
   Tensor out(a.shape());
   for (std::int64_t i = 0; i < a.numel(); ++i) {
     out[i] = a[i] >= 0.0f ? 1.0f : -1.0f;
+  }
+  return out;
+}
+
+Tensor relu(const Tensor& a) {
+  Tensor out(a.shape());
+  const float* src = a.data();
+  float* dst = out.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
+  return out;
+}
+
+Tensor hard_tanh(const Tensor& a) {
+  Tensor out(a.shape());
+  const float* src = a.data();
+  float* dst = out.data();
+  const std::int64_t n = a.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float x = src[i];
+    dst[i] = x > 1.0f ? 1.0f : (x < -1.0f ? -1.0f : x);
+  }
+  return out;
+}
+
+Tensor max_pool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) {
+  LCRS_CHECK(x.rank() == 4, "max_pool2d expects NCHW, got "
+                                << x.shape().to_string());
+  LCRS_CHECK(kernel > 0 && stride > 0, "pool kernel/stride must be positive");
+  const std::int64_t h = x.dim(2), w = x.dim(3);
+  LCRS_CHECK(h >= kernel && w >= kernel,
+             "pool window " << kernel << " larger than input " << h << "x"
+                            << w);
+  const std::int64_t oh = (h - kernel) / stride + 1;
+  const std::int64_t ow = (w - kernel) / stride + 1;
+  Tensor out{Shape{x.dim(0), x.dim(1), oh, ow}};
+  const std::int64_t planes = x.dim(0) * x.dim(1);
+  const float* src = x.data();
+  float* dst = out.data();
+  // Each output scans its window in row-major order through the
+  // branch-free `v > best ? v : best` from -inf, so NaN never wins. The
+  // 2x2/stride-2 window every zoo model uses gets a fixed-shape loop the
+  // compiler vectorizes.
+  if (kernel == 2 && stride == 2) {
+    for (std::int64_t p = 0; p < planes; ++p) {
+      const float* plane = src + p * h * w;
+      for (std::int64_t y = 0; y < oh; ++y, dst += ow) {
+        const float* r0 = plane + 2 * y * w;
+        const float* r1 = r0 + w;
+        for (std::int64_t xx = 0; xx < ow; ++xx) {
+          float best = -std::numeric_limits<float>::infinity();
+          for (const float v : {r0[2 * xx], r0[2 * xx + 1], r1[2 * xx],
+                                r1[2 * xx + 1]}) {
+            best = v > best ? v : best;
+          }
+          dst[xx] = best;
+        }
+      }
+    }
+    return out;
+  }
+  for (std::int64_t p = 0; p < planes; ++p) {
+    const float* plane = src + p * h * w;
+    for (std::int64_t y = 0; y < oh; ++y) {
+      for (std::int64_t xx = 0; xx < ow; ++xx) {
+        const float* window = plane + y * stride * w + xx * stride;
+        float best = -std::numeric_limits<float>::infinity();
+        for (std::int64_t ky = 0; ky < kernel; ++ky) {
+          for (std::int64_t kx = 0; kx < kernel; ++kx) {
+            const float v = window[ky * w + kx];
+            best = v > best ? v : best;
+          }
+        }
+        *dst++ = best;
+      }
+    }
   }
   return out;
 }

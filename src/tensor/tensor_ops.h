@@ -51,6 +51,20 @@ Tensor softmax_rows(const Tensor& logits);
 /// Elementwise sign with sign(0) = +1, matching XNOR-Net binarization.
 Tensor sign(const Tensor& a);
 
+/// Elementwise `x > 0 ? x : 0` (NaN and -0 map to +0). The one ReLU
+/// kernel behind nn::ReLU and the webinfer activation op.
+Tensor relu(const Tensor& a);
+
+/// Elementwise clamp to [-1, 1]; NaN passes through. The one hard-tanh
+/// kernel behind nn::HardTanh and the webinfer activation op.
+Tensor hard_tanh(const Tensor& a);
+
+/// Eval-mode max pooling of an NCHW tensor: square `kernel` window,
+/// `stride` step, no padding. Each output is a `v > best` scan from -inf
+/// in row-major window order, so NaN never wins. Shared by
+/// nn::MaxPool2d's eval path and the webinfer maxpool op.
+Tensor max_pool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride);
+
 /// L1 norm (sum of |x|).
 double l1_norm(const Tensor& a);
 

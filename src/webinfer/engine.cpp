@@ -1,7 +1,6 @@
 #include "webinfer/engine.h"
 
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "binary/xnor_gemm.h"
@@ -87,51 +86,27 @@ Tensor run_batchnorm(const BatchNormOp& op, const Tensor& x) {
 }
 
 Tensor run_activation(const ActivationOp& op, const Tensor& x) {
-  Tensor out(x.shape());
   switch (op.kind) {
     case ActivationOp::Kind::kReLU:
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        out[i] = x[i] > 0.0f ? x[i] : 0.0f;
-      }
-      break;
-    case ActivationOp::Kind::kTanh:
-      for (std::int64_t i = 0; i < x.numel(); ++i) out[i] = std::tanh(x[i]);
-      break;
+      return relu(x);
+    case ActivationOp::Kind::kTanh: {
+      Tensor out(x.shape());
+      const float* src = x.data();
+      float* dst = out.data();
+      const std::int64_t n = x.numel();
+      for (std::int64_t i = 0; i < n; ++i) dst[i] = std::tanh(src[i]);
+      return out;
+    }
     case ActivationOp::Kind::kHardTanh:
-      for (std::int64_t i = 0; i < x.numel(); ++i) {
-        out[i] = x[i] > 1.0f ? 1.0f : (x[i] < -1.0f ? -1.0f : x[i]);
-      }
-      break;
+      return hard_tanh(x);
   }
-  return out;
+  throw Error("unknown activation kind " +
+              std::to_string(static_cast<int>(op.kind)));
 }
 
 Tensor run_maxpool(const MaxPoolOp& op, const Tensor& x) {
   LCRS_CHECK(x.rank() == 4, "maxpool op expects NCHW");
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = (h - op.kernel) / op.stride + 1;
-  const std::int64_t ow = (w - op.kernel) / op.stride + 1;
-  LCRS_CHECK(oh >= 1 && ow >= 1, "maxpool op output is empty");
-  Tensor out{Shape{n, c, oh, ow}};
-  std::int64_t oi = 0;
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = x.data() + (b * c + ch) * h * w;
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t xx = 0; xx < ow; ++xx, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int64_t ky = 0; ky < op.kernel; ++ky) {
-            for (std::int64_t kx = 0; kx < op.kernel; ++kx) {
-              best = std::max(best, plane[(y * op.stride + ky) * w +
-                                          (xx * op.stride + kx)]);
-            }
-          }
-          out[oi] = best;
-        }
-      }
-    }
-  }
-  return out;
+  return max_pool2d(x, op.kernel, op.stride);
 }
 
 Tensor run_gap(const Tensor& x) {

@@ -3,6 +3,9 @@
 // effectiveness of the full binary stack.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "binary/binary_conv2d.h"
 #include "common/numerics.h"
 #include "binary/binary_linear.h"
@@ -100,6 +103,27 @@ TEST(BinaryConv, BackwardGatesInputGradBySte) {
   const Tensor gx = conv.backward(Tensor::ones(y.shape()));
   EXPECT_EQ(gx[0], 0.0f);
   EXPECT_NE(gx[1], 0.0f);
+}
+
+// A fresh layer's cached tensors are empty (numel 0), so the guard fires
+// with its own message instead of a later shape error.
+TEST(BinaryLayers, BackwardWithoutCachedForwardNamesTheCause) {
+  Rng rng(4);
+  BinaryConv2d conv(1, 2, 3, 1, 1, 6, 6, rng);
+  BinaryLinear lin(3, 2, rng);
+  for (const auto& [layer, grad] :
+       {std::pair<nn::Layer*, Tensor>{&conv, Tensor{Shape{1, 2, 6, 6}}},
+        {&lin, Tensor{Shape{1, 2}}}}) {
+    try {
+      (void)layer->backward(grad);
+      ADD_FAILURE() << layer->kind() << " backward without forward did not "
+                    << "throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("without cached forward"),
+                std::string::npos)
+          << layer->kind() << ": " << e.what();
+    }
+  }
 }
 
 TEST(BinaryConv, WeightBytesRoughly32xSmaller) {

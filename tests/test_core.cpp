@@ -128,6 +128,20 @@ TEST(Composite, MainFromSharedMatchesFullForward) {
   EXPECT_LT(max_abs_diff(out.main_logits, main2), 1e-5f);
 }
 
+// Serving never trains, so a network that is only prepared and run
+// allocates no gradient buffers.
+TEST(Composite, ServingNetworkHoldsNoGradients) {
+  Rng rng(5);
+  CompositeNetwork net = tiny_composite(rng);
+  net.prepare_edge_inference();
+  net.prepare_browser_inference();
+  const Tensor x = Tensor::randn(Shape{2, 1, 28, 28}, rng);
+  (void)net.forward_main_from_shared(net.forward_binary_only(x).shared);
+  for (nn::Param* p : net.params()) {
+    EXPECT_EQ(p->grad.numel(), 0) << p->name;
+  }
+}
+
 TEST(Composite, JointBackwardTouchesSharedStage) {
   Rng rng(4);
   CompositeNetwork net = tiny_composite(rng);

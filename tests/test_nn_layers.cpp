@@ -2,6 +2,12 @@
 // Gradient correctness is covered separately in test_gradcheck.cpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
@@ -15,6 +21,97 @@
 
 namespace lcrs::nn {
 namespace {
+
+// Bit pattern of a float, so NaN and the sign of zero compare exactly.
+std::uint32_t bits(float f) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+void expect_bit_equal(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[i]))
+        << "index " << i << ": got " << got[i] << " want " << want[i];
+  }
+}
+
+void expect_backward_needs_forward(Layer& layer, const Tensor& grad) {
+  try {
+    (void)layer.backward(grad);
+    ADD_FAILURE() << layer.kind() << " backward without forward did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("without cached forward"),
+              std::string::npos)
+        << layer.kind() << ": " << e.what();
+  }
+}
+
+// An odd-sized [2, 3, 7, 9] batch carrying NaN, +-0 and +-inf, with one
+// 3x3 corner of plane 1 holding only NaN and -inf.
+Tensor special_input() {
+  Rng rng(11);
+  Tensor x = Tensor::randn(Shape{2, 3, 7, 9}, rng, 0.0f, 2.0f);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {nan, 0.0f, -0.0f, inf, -inf, 1.0f, -1.0f};
+  for (std::int64_t i = 0; i < 20; ++i) {
+    x[i * 17 + 3] = specials[i % 7];
+  }
+  for (std::int64_t y = 0; y < 3; ++y) {
+    for (std::int64_t xx = 0; xx < 3; ++xx) {
+      x.at4(0, 1, y, xx) = (y + xx) % 2 == 0 ? nan : -inf;
+    }
+  }
+  return x;
+}
+
+// Plain pooling loops indexed through at4: the references the
+// eval forwards must reproduce bit for bit.
+Tensor reference_max_pool(const Tensor& x, std::int64_t k, std::int64_t s) {
+  const std::int64_t oh = (x.dim(2) - k) / s + 1, ow = (x.dim(3) - k) / s + 1;
+  Tensor out{Shape{x.dim(0), x.dim(1), oh, ow}};
+  for (std::int64_t b = 0; b < x.dim(0); ++b) {
+    for (std::int64_t c = 0; c < x.dim(1); ++c) {
+      for (std::int64_t y = 0; y < oh; ++y) {
+        for (std::int64_t xx = 0; xx < ow; ++xx) {
+          float best = -std::numeric_limits<float>::infinity();
+          for (std::int64_t ky = 0; ky < k; ++ky) {
+            for (std::int64_t kx = 0; kx < k; ++kx) {
+              const float v = x.at4(b, c, y * s + ky, xx * s + kx);
+              if (v > best) best = v;
+            }
+          }
+          out.at4(b, c, y, xx) = best;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+Tensor reference_avg_pool(const Tensor& x, std::int64_t k, std::int64_t s) {
+  const std::int64_t oh = (x.dim(2) - k) / s + 1, ow = (x.dim(3) - k) / s + 1;
+  const float inv = 1.0f / static_cast<float>(k * k);
+  Tensor out{Shape{x.dim(0), x.dim(1), oh, ow}};
+  for (std::int64_t b = 0; b < x.dim(0); ++b) {
+    for (std::int64_t c = 0; c < x.dim(1); ++c) {
+      for (std::int64_t y = 0; y < oh; ++y) {
+        for (std::int64_t xx = 0; xx < ow; ++xx) {
+          float acc = 0.0f;
+          for (std::int64_t ky = 0; ky < k; ++ky) {
+            for (std::int64_t kx = 0; kx < k; ++kx) {
+              acc += x.at4(b, c, y * s + ky, xx * s + kx);
+            }
+          }
+          out.at4(b, c, y, xx) = acc * inv;
+        }
+      }
+    }
+  }
+  return out;
+}
 
 TEST(Conv2d, OutputShapeAndBias) {
   Rng rng(1);
@@ -48,6 +145,20 @@ TEST(Conv2d, BackwardWithoutForwardThrows) {
   EXPECT_THROW(conv.backward(Tensor{Shape{1, 2, 8, 8}}), Error);
 }
 
+// A fresh layer's cached tensors are empty (numel 0), so each guard fires
+// with its own message instead of a later shape error.
+TEST(Layers, BackwardWithoutCachedForwardNamesTheCause) {
+  Rng rng(1);
+  Linear lin(3, 2, rng);
+  expect_backward_needs_forward(lin, Tensor{Shape{1, 2}});
+  BatchNorm bn(2);
+  expect_backward_needs_forward(bn, Tensor{Shape{1, 2, 4, 4}});
+  Conv2d conv(1, 2, 3, 1, 1, 8, 8, rng);
+  expect_backward_needs_forward(conv, Tensor{Shape{1, 2, 8, 8}});
+  ResidualBlock block(2, 2, 1, 4, 4, rng);
+  expect_backward_needs_forward(block, Tensor{Shape{1, 2, 4, 4}});
+}
+
 TEST(Linear, MatchesManualAffine) {
   Rng rng(2);
   Linear lin(3, 2, rng);
@@ -59,6 +170,29 @@ TEST(Linear, MatchesManualAffine) {
   const Tensor y = lin.forward(x, false);
   EXPECT_EQ(y.at2(0, 0), 8.0f);
   EXPECT_EQ(y.at2(0, 1), -1.0f);
+}
+
+TEST(Linear, GradientAllocatedOnFirstBackwardAndAccumulates) {
+  Rng rng(3);
+  Linear lin(3, 2, rng);
+  const Tensor x = Tensor::randn(Shape{4, 3}, rng);
+  (void)lin.forward(x, false);
+  EXPECT_EQ(lin.weight().grad.numel(), 0);
+  EXPECT_EQ(lin.bias_param().grad.numel(), 0);
+
+  const Tensor g = Tensor::randn(Shape{4, 2}, rng);
+  (void)lin.forward(x, true);
+  (void)lin.backward(g);
+  const Tensor once = lin.weight().grad;
+  ASSERT_EQ(once.shape(), lin.weight().value.shape());
+  EXPECT_EQ(lin.bias_param().grad.shape(), lin.bias_param().value.shape());
+
+  // The lazily allocated buffer starts at zero, exactly like zero_grad().
+  lin.zero_grad();
+  (void)lin.backward(g);
+  expect_bit_equal(lin.weight().grad, once);
+  (void)lin.backward(g);
+  EXPECT_LT(max_abs_diff(lin.weight().grad, add(once, once)), 1e-5f);
 }
 
 TEST(Activations, ReLUClampsNegatives) {
@@ -100,6 +234,83 @@ TEST(MaxPool, PicksWindowMaxAndRoutesGradient) {
   const Tensor gx = pool.backward(g);
   EXPECT_EQ(gx[1], 7.0f);
   EXPECT_EQ(gx[0], 0.0f);
+}
+
+TEST(EvalForwards, ReLUMatchesReferenceBitForBit) {
+  const Tensor x = special_input();
+  Tensor want(x.shape());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    want[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  }
+  ReLU relu;
+  expect_bit_equal(relu.forward(x, false), want);
+  expect_bit_equal(relu.forward(x, true), want);
+}
+
+TEST(EvalForwards, HardTanhMatchesReferenceBitForBit) {
+  const Tensor x = special_input();
+  Tensor want(x.shape());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    want[i] = x[i] > 1.0f ? 1.0f : (x[i] < -1.0f ? -1.0f : x[i]);
+  }
+  HardTanh ht;
+  expect_bit_equal(ht.forward(x, false), want);
+  expect_bit_equal(ht.forward(x, true), want);
+}
+
+TEST(EvalForwards, PoolsMatchReferenceBitForBit) {
+  const Tensor x = special_input();
+  for (const auto& [k, s] : {std::pair<std::int64_t, std::int64_t>{2, 2},
+                            {3, 2}, {3, 1}, {7, 3}}) {
+    SCOPED_TRACE("kernel " + std::to_string(k) + " stride " +
+                 std::to_string(s));
+    MaxPool2d max_pool(k, s);
+    const Tensor want_max = reference_max_pool(x, k, s);
+    expect_bit_equal(max_pool.forward(x, false), want_max);
+    expect_bit_equal(max_pool.forward(x, true), want_max);
+    AvgPool2d avg_pool(k, s);
+    expect_bit_equal(avg_pool.forward(x, false), reference_avg_pool(x, k, s));
+  }
+  // The all-NaN/-inf corner window pools to -inf: NaN never wins.
+  MaxPool2d pool(3, 2);
+  EXPECT_EQ(pool.forward(x, false).at4(0, 1, 0, 0),
+            -std::numeric_limits<float>::infinity());
+}
+
+TEST(MaxPool, TrainArgmaxRoutesGradientToFirstWindowMax) {
+  // Values on a coarse grid so windows hold ties; the first maximum in
+  // row-major window order takes the gradient.
+  Rng rng(5);
+  Tensor x = Tensor::randn(Shape{2, 3, 7, 9}, rng);
+  for (std::int64_t i = 0; i < x.numel(); ++i) x[i] = std::round(x[i]);
+  const std::int64_t k = 3, s = 2;
+  MaxPool2d pool(k, s);
+  const Tensor y = pool.forward(x, true);
+  expect_bit_equal(y, pool.forward(x, false));
+  Tensor g(y.shape());
+  for (std::int64_t i = 0; i < g.numel(); ++i) {
+    g[i] = static_cast<float>(i + 1);
+  }
+  Tensor want(x.shape());
+  for (std::int64_t b = 0; b < 2; ++b) {
+    for (std::int64_t c = 0; c < 3; ++c) {
+      for (std::int64_t oy = 0; oy < y.dim(2); ++oy) {
+        for (std::int64_t ox = 0; ox < y.dim(3); ++ox) {
+          std::int64_t by = oy * s, bx = ox * s;
+          for (std::int64_t ky = 0; ky < k; ++ky) {
+            for (std::int64_t kx = 0; kx < k; ++kx) {
+              if (x.at4(b, c, oy * s + ky, ox * s + kx) > x.at4(b, c, by, bx)) {
+                by = oy * s + ky;
+                bx = ox * s + kx;
+              }
+            }
+          }
+          want.at4(b, c, by, bx) += g.at4(b, c, oy, ox);
+        }
+      }
+    }
+  }
+  expect_bit_equal(pool.backward(g), want);
 }
 
 TEST(AvgPool, AveragesWindow) {

@@ -32,6 +32,27 @@ TEST(Tensor, ZeroInitialized) {
   for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(t[i], 0.0f);
 }
 
+TEST(Tensor, DefaultIsEmptyNotScalar) {
+  const Tensor t;
+  EXPECT_EQ(t.shape(), (Shape{0}));
+  EXPECT_EQ(t.numel(), 0);
+  EXPECT_EQ(t.shape().numel(), t.numel());
+  EXPECT_THROW(t[0], Error);
+}
+
+TEST(Tensor, NumelMatchesShapeForEveryConstructor) {
+  Rng rng(7);
+  const Tensor tensors[] = {
+      Tensor{}, Tensor{Shape{}}, Tensor{Shape{0, 3}}, Tensor{Shape{2, 3}},
+      Tensor{Shape{2}, {1.0f, 2.0f}}, Tensor::randn(Shape{3, 1, 5}, rng),
+      Tensor::full(Shape{4}, 1.5f).reshaped(Shape{2, 2}),
+      Tensor::ones(Shape{4, 2}).slice_outer(1, 3)};
+  for (const Tensor& t : tensors) {
+    EXPECT_EQ(t.numel(), t.shape().numel()) << t.shape().to_string();
+    EXPECT_THROW(t[t.numel()], Error) << t.shape().to_string();
+  }
+}
+
 TEST(Tensor, FullAndFill) {
   Tensor t = Tensor::full(Shape{5}, 2.5f);
   EXPECT_EQ(t[4], 2.5f);
@@ -161,6 +182,18 @@ TEST(Serialize, RoundTrip) {
   const Tensor back = read_tensor(r);
   EXPECT_EQ(back.shape(), t.shape());
   EXPECT_EQ(max_abs_diff(back, t), 0.0f);
+}
+
+TEST(Serialize, DefaultTensorRoundTrips) {
+  ByteWriter w;
+  write_tensor(w, Tensor{});
+  EXPECT_EQ(static_cast<std::int64_t>(w.size()),
+            tensor_wire_bytes(Tensor{}.shape()));
+  ByteReader r(w.bytes());
+  const Tensor back = read_tensor(r);
+  EXPECT_EQ(back.shape(), (Shape{0}));
+  EXPECT_EQ(back.numel(), 0);
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(Serialize, BadMagicThrows) {

@@ -3,9 +3,17 @@
 // (the paper validates its JS/WASM library against PyTorch identically).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
+#include <utility>
+
+#include "common/simd.h"
 #include "core/composite.h"
 #include "core/joint_trainer.h"
 #include "data/synthetic.h"
+#include "nn/activations.h"
+#include "nn/pooling.h"
 #include "tensor/tensor_ops.h"
 #include "webinfer/engine.h"
 #include "webinfer/export.h"
@@ -162,6 +170,72 @@ TEST(Engine, PredictProbabilitiesSumToOne) {
     sum += static_cast<double>(p[i]);
   }
   EXPECT_NEAR(sum, 1.0, 1e-5);
+}
+
+// A model whose shared stage is the single op `op`, so forward_shared
+// runs that op alone.
+Engine single_op_engine(Op op, const Shape& in) {
+  WebModel m;
+  m.in_c = in[1];
+  m.in_h = in[2];
+  m.in_w = in[3];
+  m.num_classes = 1;
+  m.shared_op_count = 1;
+  m.ops.push_back(std::move(op));
+  return Engine(std::move(m));
+}
+
+void expect_bit_equal(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<std::size_t>(got.numel()) * sizeof(float)),
+            0);
+}
+
+// The browser ops and the training framework's eval forwards must agree
+// bit for bit, NaN, signed zeros and infinities included.
+TEST(Engine, ActivationAndMaxPoolOpsMatchNnLayersBitForBit) {
+  Rng rng(8);
+  Tensor x = Tensor::randn(Shape{2, 3, 7, 9}, rng, 0.0f, 2.0f);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), 0.0f,
+                            -0.0f, std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  for (std::int64_t i = 0; i < 25; ++i) x[i * 13 + 1] = specials[i % 5];
+
+  using Kind = ActivationOp::Kind;
+  nn::ReLU relu;
+  expect_bit_equal(single_op_engine(ActivationOp{Kind::kReLU}, x.shape())
+                       .forward_shared(x),
+                   relu.forward(x, false));
+  nn::HardTanh hard_tanh;
+  expect_bit_equal(single_op_engine(ActivationOp{Kind::kHardTanh}, x.shape())
+                       .forward_shared(x),
+                   hard_tanh.forward(x, false));
+  {
+    // nn::Tanh is exact std::tanh only at the scalar dispatch level.
+    simd::ScopedForcedLevel scalar(simd::Level::kScalar);
+    nn::Tanh tanh_layer;
+    expect_bit_equal(single_op_engine(ActivationOp{Kind::kTanh}, x.shape())
+                         .forward_shared(x),
+                     tanh_layer.forward(x, false));
+  }
+  for (const auto& [k, s] : {std::pair<std::int64_t, std::int64_t>{2, 2},
+                            {3, 2}, {3, 1}}) {
+    SCOPED_TRACE("kernel " + std::to_string(k) + " stride " +
+                 std::to_string(s));
+    nn::MaxPool2d pool(k, s);
+    expect_bit_equal(
+        single_op_engine(MaxPoolOp{k, s}, x.shape()).forward_shared(x),
+        pool.forward(x, false));
+  }
+}
+
+TEST(Engine, MaxPoolOpRejectsWindowLargerThanInput) {
+  // (1 - 2) / 2 + 1 == 1 under truncating division, so an extent check
+  // on the output alone would let this 2x2 window read past a 1x1 plane.
+  const Tensor x{Shape{1, 1, 1, 1}};
+  EXPECT_THROW(single_op_engine(MaxPoolOp{2, 2}, x.shape()).forward_shared(x),
+               Error);
 }
 
 }  // namespace
