@@ -497,6 +497,9 @@ std::vector<EdgeServer::PendingRequest> EdgeServer::next_batch() {
     const auto wait_us =
         static_cast<std::int64_t>(window.remaining_ms() * 1e3) + 1;
     queue_cv_.wait_for_us(queue_mutex_, wait_us);
+    // The wait released the lock, so request_stop() may have swapped
+    // queues_ out and freed `queue`. It sets stopping_ before the swap.
+    if (stopping_.load()) break;
   }
   queue_depth_.add(-static_cast<double>(batch.size()));
   return batch;

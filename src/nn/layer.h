@@ -18,22 +18,29 @@ namespace lcrs::nn {
 /// A trainable parameter: value plus accumulated gradient of the same
 /// shape. The gradient is allocated, as zeros, on first use (zero_grad()
 /// or a backward accumulation), so a network that only serves holds no
-/// gradient memory. Layers own their Params; optimizers mutate them
-/// through Layer::params().
-struct Param {
+/// gradient memory. grad_buffer() is the only way to write the gradient.
+/// Layers own their Params; optimizers mutate them through
+/// Layer::params().
+class Param {
+ public:
   std::string name;
   Tensor value;
-  Tensor grad;  // empty until grad_buffer() first runs
 
   Param(std::string n, Tensor v) : name(std::move(n)), value(std::move(v)) {}
 
-  /// The gradient, allocated as zeros on first use.
+  /// The accumulated gradient; empty (numel 0) until grad_buffer() first
+  /// runs.
+  const Tensor& grad() const { return grad_; }
+  /// The gradient for writing, allocated as zeros on first use.
   Tensor& grad_buffer() {
-    if (!grad.same_shape(value)) grad = Tensor(value.shape());
-    return grad;
+    if (!grad_.same_shape(value)) grad_ = Tensor(value.shape());
+    return grad_;
   }
   void zero_grad() { grad_buffer().fill(0.0f); }
   std::int64_t numel() const { return value.numel(); }
+
+ private:
+  Tensor grad_;
 };
 
 /// Interface implemented by every network building block.
@@ -47,8 +54,8 @@ class Layer {
   virtual Tensor forward(const Tensor& input, bool train) = 0;
 
   /// Propagates the loss gradient. Must be called after a forward() with
-  /// train == true; accumulates into each Param::grad and returns the
-  /// gradient w.r.t. the layer input.
+  /// train == true; accumulates into each Param::grad_buffer() and
+  /// returns the gradient w.r.t. the layer input.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   /// Trainable parameters (empty for stateless layers). Pointers remain

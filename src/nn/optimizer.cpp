@@ -16,7 +16,7 @@ void check_step_inputs(const std::vector<Param*>& params) {
   if (!numerics::enabled()) return;
   for (const Param* p : params) {
     numerics::check_values("step gradient", "param " + p->name,
-                           p->grad.data(), p->grad.numel());
+                           p->grad().data(), p->grad().numel());
   }
 }
 
@@ -66,8 +66,9 @@ double clip_grad_norm(const std::vector<Param*>& params, double max_norm) {
   LCRS_CHECK(max_norm > 0.0, "clip_grad_norm needs max_norm > 0");
   double sq = 0.0;
   for (const Param* p : params) {
-    for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
-      const double g = static_cast<double>(p->grad[i]);
+    const Tensor& grad = p->grad();
+    for (std::int64_t i = 0; i < grad.numel(); ++i) {
+      const double g = static_cast<double>(grad[i]);
       sq += g * g;
     }
   }
@@ -75,9 +76,8 @@ double clip_grad_norm(const std::vector<Param*>& params, double max_norm) {
   if (norm > max_norm) {
     const float scale = static_cast<float>(max_norm / norm);
     for (Param* p : params) {
-      for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
-        p->grad[i] *= scale;
-      }
+      Tensor& grad = p->grad_buffer();
+      for (std::int64_t i = 0; i < grad.numel(); ++i) grad[i] *= scale;
     }
   }
   return norm;

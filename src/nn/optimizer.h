@@ -13,8 +13,8 @@
 
 namespace lcrs::nn {
 
-/// Interface: consumes accumulated Param::grad, updates Param::value, then
-/// the caller zeroes gradients for the next batch.
+/// Interface: consumes accumulated Param::grad_buffer(), updates
+/// Param::value, then the caller zeroes gradients for the next batch.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;

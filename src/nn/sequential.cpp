@@ -69,7 +69,7 @@ Tensor Sequential::backward(const Tensor& grad_output) {
         numerics::check_values("accumulated gradient",
                                layer_label(i, *layers_[i]) + " param " +
                                    p->name,
-                               p->grad.data(), p->grad.numel());
+                               p->grad().data(), p->grad().numel());
       }
     }
   }

@@ -175,8 +175,9 @@ Tensor max_pool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) {
   float* dst = out.data();
   // Each output scans its window in row-major order through the
   // branch-free `v > best ? v : best` from -inf, so NaN never wins. The
-  // 2x2/stride-2 window every zoo model uses gets a fixed-shape loop the
-  // compiler vectorizes.
+  // 2x2/stride-2 window every zoo model uses gets a fixed-shape loop that
+  // gcc vectorizes across output columns; the general loop does not, and
+  // at the AlexNet-half shapes it is 4-6x slower (EXPERIMENTS.md).
   if (kernel == 2 && stride == 2) {
     for (std::int64_t p = 0; p < planes; ++p) {
       const float* plane = src + p * h * w;

@@ -167,7 +167,7 @@ TEST(BinaryLinear, BackwardAccumulatesEq6WeightGrad) {
   lin.zero_grad();
   const Tensor y = lin.forward(x, true);
   lin.backward(Tensor::ones(y.shape()));
-  EXPECT_GT(l2_norm(lin.weight().grad), 0.0);
+  EXPECT_GT(l2_norm(lin.weight().grad()), 0.0);
 }
 
 TEST(BinaryStack, LearnsASeparableProblem) {

@@ -138,7 +138,7 @@ TEST(Composite, ServingNetworkHoldsNoGradients) {
   const Tensor x = Tensor::randn(Shape{2, 1, 28, 28}, rng);
   (void)net.forward_main_from_shared(net.forward_binary_only(x).shared);
   for (nn::Param* p : net.params()) {
-    EXPECT_EQ(p->grad.numel(), 0) << p->name;
+    EXPECT_EQ(p->grad().numel(), 0) << p->name;
   }
 }
 
@@ -153,11 +153,11 @@ TEST(Composite, JointBackwardTouchesSharedStage) {
   // Shared conv1 must accumulate gradient from BOTH branches (Eq. 1).
   double shared_grad = 0.0;
   for (nn::Param* p : net.shared_stage().params()) {
-    shared_grad += l2_norm(p->grad);
+    shared_grad += l2_norm(p->grad());
   }
   EXPECT_GT(shared_grad, 0.0);
   for (nn::Param* p : net.binary_params()) {
-    EXPECT_GT(l2_norm(p->grad) + 1e-12, 0.0);
+    EXPECT_GT(l2_norm(p->grad()) + 1e-12, 0.0);
   }
 }
 

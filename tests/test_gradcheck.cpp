@@ -82,7 +82,7 @@ void check_gradients(Layer& layer, Tensor x, const Shape& out_shape,
       p->value[i] = orig - static_cast<float>(eps);
       const double down = probe_loss(layer, x, w);
       p->value[i] = orig;
-      expect_matches(p->grad[i], (up - down) / (2 * eps),
+      expect_matches(p->grad()[i], (up - down) / (2 * eps),
                      p->name + " grad at " + std::to_string(i));
     }
   }

@@ -120,8 +120,7 @@ TEST(Optimizer, AdamStepSizeBoundedByLr) {
   Rng rng(3);
   Linear lin(2, 2, rng);
   const Tensor before = lin.weight().value;
-  lin.zero_grad();
-  lin.weight().grad.fill(1000.0f);  // huge gradient
+  lin.weight().grad_buffer().fill(1000.0f);  // huge gradient
   Adam adam(0.01);
   adam.step(lin.params());
   // Adam normalizes by sqrt(v): the first step is about lr in magnitude.

@@ -177,22 +177,22 @@ TEST(Linear, GradientAllocatedOnFirstBackwardAndAccumulates) {
   Linear lin(3, 2, rng);
   const Tensor x = Tensor::randn(Shape{4, 3}, rng);
   (void)lin.forward(x, false);
-  EXPECT_EQ(lin.weight().grad.numel(), 0);
-  EXPECT_EQ(lin.bias_param().grad.numel(), 0);
+  EXPECT_EQ(lin.weight().grad().numel(), 0);
+  EXPECT_EQ(lin.bias_param().grad().numel(), 0);
 
   const Tensor g = Tensor::randn(Shape{4, 2}, rng);
   (void)lin.forward(x, true);
   (void)lin.backward(g);
-  const Tensor once = lin.weight().grad;
+  const Tensor once = lin.weight().grad();
   ASSERT_EQ(once.shape(), lin.weight().value.shape());
-  EXPECT_EQ(lin.bias_param().grad.shape(), lin.bias_param().value.shape());
+  EXPECT_EQ(lin.bias_param().grad().shape(), lin.bias_param().value.shape());
 
   // The lazily allocated buffer starts at zero, exactly like zero_grad().
   lin.zero_grad();
   (void)lin.backward(g);
-  expect_bit_equal(lin.weight().grad, once);
+  expect_bit_equal(lin.weight().grad(), once);
   (void)lin.backward(g);
-  EXPECT_LT(max_abs_diff(lin.weight().grad, add(once, once)), 1e-5f);
+  EXPECT_LT(max_abs_diff(lin.weight().grad(), add(once, once)), 1e-5f);
 }
 
 TEST(Activations, ReLUClampsNegatives) {
