@@ -82,16 +82,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  const edge::ServerStats server_stats = server.stats();
+  const std::int64_t served = server.requests_served();
+  const double completion_ms =
+      server.metrics().snapshot().find_histogram(
+          obs::names::kServerCompletionUs)->sum / 1e3;
   std::printf("\naccuracy %.0f%% over %lld samples; %.0f%% exited at the "
               "binary branch;\nedge server completed %lld requests "
               "(%.2f ms mean).\n",
               100.0 * static_cast<double>(correct) /
                   static_cast<double>(samples),
               static_cast<long long>(samples),
-              100.0 * client.exit_fraction(),
-              static_cast<long long>(server_stats.requests_served),
-              server_stats.mean_completion_ms());
+              100.0 * client.exit_fraction(), static_cast<long long>(served),
+              completion_ms / static_cast<double>(std::max<std::int64_t>(
+                                  served, 1)));
 
   // Graceful degradation: kill the edge server, then classify again. The
   // client retries, gives up within its deadline, and still answers from
@@ -108,13 +111,15 @@ int main(int argc, char** argv) {
       ++offline_correct;
     }
   }
-  const edge::ClientStats& cs = client.stats();
+  const obs::Snapshot cs = client.metrics().snapshot();
   std::printf("offline accuracy %lld/%lld; %lld fallback answers, "
               "%lld retries, %lld reconnects.\n",
               static_cast<long long>(offline_correct),
               static_cast<long long>(offline),
-              static_cast<long long>(cs.fallbacks),
-              static_cast<long long>(cs.retries),
-              static_cast<long long>(cs.reconnects));
+              static_cast<long long>(client.fallbacks()),
+              static_cast<long long>(
+                  cs.find_counter(obs::names::kClientRetries)->value),
+              static_cast<long long>(
+                  cs.find_counter(obs::names::kClientReconnects)->value));
   return 0;
 }

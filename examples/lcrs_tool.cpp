@@ -43,11 +43,13 @@
 //
 //   lcrs_tool metrics <in.ckpt> [n_samples] [text|json] [trace.jsonl]
 //       Run collaborative classifications with profiling on, then dump
-//       the process-wide metrics snapshot (and, optionally, every trace
-//       span as JSONL) -- the observability smoke test.
+//       the process, server and client registries merged into one
+//       snapshot (and, optionally, every trace span as JSONL) -- the
+//       observability smoke test.
 //
 // Architectures: LeNet | AlexNet | ResNet18 | VGG16.
 // Datasets:      MNIST | FashionMNIST | CIFAR10 | CIFAR100.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -317,13 +319,17 @@ int cmd_serve(int argc, char** argv) {
     }
     std::fflush(stdout);
   }
-  const edge::ServerStats stats = server->stats();
+  const obs::Snapshot snap = server->metrics().snapshot();
+  const std::int64_t served = server->requests_served();
   std::printf("served %lld requests over %lld connections "
               "(%.2f ms mean completion, %lld connection errors)\n",
-              static_cast<long long>(stats.requests_served),
-              static_cast<long long>(stats.connections_accepted),
-              stats.mean_completion_ms(),
-              static_cast<long long>(stats.connection_errors));
+              static_cast<long long>(served),
+              static_cast<long long>(server->connections_accepted()),
+              snap.find_histogram(obs::names::kServerCompletionUs)->sum /
+                  1e3 / static_cast<double>(std::max<std::int64_t>(served, 1)),
+              static_cast<long long>(
+                  snap.find_counter(obs::names::kServerConnectionErrors)
+                      ->value));
   return 0;
 }
 
@@ -351,14 +357,17 @@ int cmd_classify(int argc, char** argv) {
                     test.labels[static_cast<std::size_t>(i)]),
                 r.entropy, core::to_string(r.exit_point));
   }
-  const edge::ClientStats& cs = client.stats();
   std::printf("accuracy %.0f%%, exit fraction %.0f%%, fallbacks %lld, "
               "retries %lld\n",
               100.0 * static_cast<double>(correct) /
                   static_cast<double>(test.size()),
               100.0 * client.exit_fraction(),
-              static_cast<long long>(cs.fallbacks),
-              static_cast<long long>(cs.retries));
+              static_cast<long long>(client.fallbacks()),
+              static_cast<long long>(
+                  client.metrics()
+                      .snapshot()
+                      .find_counter(obs::names::kClientRetries)
+                      ->value));
   return 0;
 }
 
@@ -389,7 +398,9 @@ int cmd_metrics(int argc, char** argv) {
   }
   server.stop();  // settle the server-side counters before the snapshot
 
-  const obs::Snapshot snap = obs::Registry::global().snapshot();
+  const obs::Snapshot snap = obs::Snapshot::merge(
+      {obs::Registry::global().snapshot(), server.metrics().snapshot(),
+       server.registry()->metrics().snapshot(), client.metrics().snapshot()});
   if (format == "json") {
     std::printf("%s\n", snap.to_json().c_str());
   } else {

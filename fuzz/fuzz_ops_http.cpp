@@ -125,7 +125,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
   const bool ready = (flags & 1) != 0;
   obs::OpsHooks hooks;
-  hooks.registry = &fixture().registry;
+  hooks.registries = {&fixture().registry};
   hooks.recorder = &fixture().recorder;
   hooks.ready = [ready] { return ready; };
   const obs::HttpResponse resp = obs::ops_respond(*req, hooks);

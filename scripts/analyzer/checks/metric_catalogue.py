@@ -6,13 +6,13 @@ src/common/obs/metric_names.h, so a name cannot fork into two spellings
 dashboards then miss. At every registration site --
 
   * Registry::counter/gauge/histogram member calls,
-  * construction of a named instrument (obs::Span, MirroredCounter,
-    MirroredGauge, MirroredHistogram)
+  * construction of a named instrument (obs::Span)
 
 -- the name argument must be a reference to a declared constant, not a
 string literal. The check walks the *whole* TU rather than function
-bodies: default member initializers (how EdgeServer binds its mirrored
-instruments) live in class definitions, outside any body.
+bodies: default member initializers (how EdgeServer binds its
+instruments to its registry) live in class definitions, outside any
+body.
 
 Unlike the regex `metric-name` rule this is call-shape-aware: it sees a
 literal smuggled through std::string temporaries and implicit casts,

@@ -49,8 +49,7 @@ class CheckConfig:
     # Types that synchronize internally: a bare field of one of these in
     # a lock-owning class is not shared mutable state.
     internally_synced: tuple[str, ...] = (
-        "CondVar", "Registry", "MirroredCounter", "MirroredGauge",
-        "MirroredHistogram", "Counter", "Gauge", "Histogram",
+        "CondVar", "Registry", "Counter", "Gauge", "Histogram",
         "std::atomic",
     )
 
@@ -92,9 +91,7 @@ class CheckConfig:
 
     # metric-catalogue ----------------------------------------------
     registration_members: tuple[str, ...] = ("counter", "gauge", "histogram")
-    named_instrument_types: tuple[str, ...] = (
-        "Span", "MirroredCounter", "MirroredGauge", "MirroredHistogram",
-    )
+    named_instrument_types: tuple[str, ...] = ("Span",)
     catalogue_exempt_files: tuple[str, ...] = (
         "src/common/obs/metric_names.h",
         "src/common/obs/metrics.h",

@@ -120,9 +120,9 @@ inline std::string layer_metric(std::size_t index, const std::string& kind,
 }
 
 /// Per-model serving counters on the edge server:
-/// "edge.server.model.<id>.<which>" with `which` in {"requests",
-/// "swaps"}. Ids are u32 registry keys, so the family stays bounded by
-/// the registry size.
+/// "edge.server.model.<id>.<which>"; `which` is "requests" (the only
+/// member the server emits). Ids are u32 registry keys, so the family
+/// stays bounded by the registry size.
 inline std::string model_metric(std::uint32_t model_id,
                                 const std::string& which) {
   return "edge.server.model." + std::to_string(model_id) + "." + which;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -234,6 +235,32 @@ std::string Snapshot::to_json() const {
   }
   os << "}}";
   return os.str();
+}
+
+Snapshot Snapshot::merge(const std::vector<Snapshot>& parts) {
+  Snapshot out;
+  std::set<std::string> seen;
+  const auto claim = [&seen](const std::string& name) {
+    LCRS_CHECK(seen.insert(name).second,
+               "metric '" << name << "' appears in two merged registries");
+  };
+  for (const Snapshot& p : parts) {
+    for (const auto& c : p.counters) claim(c.name);
+    for (const auto& g : p.gauges) claim(g.name);
+    for (const auto& h : p.histograms) claim(h.name);
+    out.counters.insert(out.counters.end(), p.counters.begin(),
+                        p.counters.end());
+    out.gauges.insert(out.gauges.end(), p.gauges.begin(), p.gauges.end());
+    out.histograms.insert(out.histograms.end(), p.histograms.begin(),
+                          p.histograms.end());
+  }
+  const auto by_name = [](const auto& a, const auto& b) {
+    return a.name < b.name;
+  };
+  std::sort(out.counters.begin(), out.counters.end(), by_name);
+  std::sort(out.gauges.begin(), out.gauges.end(), by_name);
+  std::sort(out.histograms.begin(), out.histograms.end(), by_name);
+  return out;
 }
 
 // ---------------------------------------------------------------------

@@ -133,12 +133,19 @@ struct Snapshot {
   std::string to_text() const;
   /// Machine-readable JSON object keyed by instrument kind.
   std::string to_json() const;
+
+  /// Union of several registries' snapshots, every section sorted by
+  /// name. Throws when a name appears in more than one input (in any
+  /// section): that would be a duplicate Prometheus series.
+  static Snapshot merge(const std::vector<Snapshot>& parts);
 };
 
 /// A named collection of instruments. `Registry::global()` is the
-/// process-wide registry every free-standing call site records into;
-/// components that need per-instance stats (BrowserClient, EdgeServer)
-/// own an instance Registry and mirror updates into the global one.
+/// process-wide registry every free-standing call site records into
+/// (exit decisions, profiling, sim, baselines, ops plane, process
+/// gauges). Components with per-instance state (BrowserClient,
+/// EdgeServer, ModelRegistry) own a Registry and record only into it;
+/// a scrape merges the registries it reports (Snapshot::merge).
 class Registry {
  public:
   Registry() = default;
@@ -173,62 +180,6 @@ class Registry {
       LCRS_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       LCRS_GUARDED_BY(mutex_);
-};
-
-/// Instrument pairs that keep a component-local registry and the global
-/// registry in sync with one update call. The snapshot-view stats structs
-/// (ClientStats, ServerStats) read the local side; fleet-wide tooling
-/// reads Registry::global().
-class MirroredCounter {
- public:
-  MirroredCounter(Registry& local, const std::string& name)
-      : local_(local.counter(name)),
-        global_(Registry::global().counter(name)) {}
-  void add(std::int64_t n = 1) {
-    local_.add(n);
-    global_.add(n);
-  }
-  std::int64_t value() const { return local_.value(); }
-
- private:
-  Counter& local_;
-  Counter& global_;
-};
-
-class MirroredGauge {
- public:
-  MirroredGauge(Registry& local, const std::string& name)
-      : local_(local.gauge(name)), global_(Registry::global().gauge(name)) {}
-  void add(double d) {
-    local_.add(d);
-    global_.add(d);
-  }
-  void set(double v) {
-    local_.set(v);
-    global_.set(v);
-  }
-  double value() const { return local_.value(); }
-
- private:
-  Gauge& local_;
-  Gauge& global_;
-};
-
-class MirroredHistogram {
- public:
-  MirroredHistogram(Registry& local, const std::string& name)
-      : local_(local.histogram(name)),
-        global_(Registry::global().histogram(name)) {}
-  void record(double v) {
-    local_.record(v);
-    global_.record(v);
-  }
-  std::int64_t count() const { return local_.count(); }
-  double sum() const { return local_.sum(); }
-
- private:
-  Histogram& local_;
-  Histogram& global_;
 };
 
 // ---------------------------------------------------------------------

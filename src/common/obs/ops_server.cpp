@@ -56,6 +56,14 @@ std::string default_statusz() {
   return os.str();
 }
 
+Snapshot metrics_snapshot(const OpsHooks& hooks) {
+  if (hooks.registries.empty()) return Registry::global().snapshot();
+  std::vector<Snapshot> parts;
+  parts.reserve(hooks.registries.size());
+  for (const Registry* r : hooks.registries) parts.push_back(r->snapshot());
+  return Snapshot::merge(parts);
+}
+
 const char* kIndexBody =
     "lcrs ops plane\n"
     "  /metrics       Prometheus text exposition\n"
@@ -218,8 +226,6 @@ HttpResponse ops_respond(const HttpRequest& req, const OpsHooks& hooks) {
     resp.body = "method not allowed\n";
     return resp;
   }
-  const Registry& registry =
-      hooks.registry != nullptr ? *hooks.registry : Registry::global();
   const FlightRecorder& recorder =
       hooks.recorder != nullptr ? *hooks.recorder : FlightRecorder::global();
   const std::string path = request_path(req);
@@ -227,11 +233,11 @@ HttpResponse ops_respond(const HttpRequest& req, const OpsHooks& hooks) {
   if (path == "/metrics") {
     update_process_gauges();
     resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    resp.body = render_prometheus(registry.snapshot());
+    resp.body = render_prometheus(metrics_snapshot(hooks));
   } else if (path == "/metrics.json") {
     update_process_gauges();
     resp.content_type = "application/json";
-    resp.body = registry.snapshot().to_json();
+    resp.body = metrics_snapshot(hooks).to_json();
   } else if (path == "/healthz") {
     resp.body = "ok\n";
   } else if (path == "/readyz") {

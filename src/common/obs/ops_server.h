@@ -2,8 +2,8 @@
 // health, status, and flight-recorder traces on a side port.
 //
 // Endpoints (all GET, Connection: close):
-//   /metrics       Prometheus text exposition of a Registry snapshot
-//   /metrics.json  the registry's JSON snapshot (Snapshot::to_json)
+//   /metrics       Prometheus text exposition of the merged registries
+//   /metrics.json  the same merged snapshot as JSON (Snapshot::to_json)
 //   /healthz       liveness: 200 "ok" while the server thread runs
 //   /readyz        readiness: 200 while serving, 503 during drain/stop
 //   /statusz       build info, SIMD level, uptime, serving config (JSON)
@@ -27,6 +27,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/obs/flight_recorder.h"
 #include "common/obs/metrics.h"
@@ -73,9 +74,11 @@ std::string render_prometheus(const Snapshot& snapshot);
 
 /// Everything the endpoint handlers read. Defaults wire up the
 /// process-global registry and flight recorder; tests substitute their
-/// own.
+/// own. /metrics renders the Snapshot::merge of `registries`, so a name
+/// registered in two of them fails the scrape instead of duplicating a
+/// series.
 struct OpsHooks {
-  const Registry* registry = nullptr;          // nullptr = Registry::global()
+  std::vector<const Registry*> registries;     // empty = Registry::global()
   const FlightRecorder* recorder = nullptr;    // nullptr = global()
   std::function<bool()> ready;                 // nullptr = always ready
   std::function<std::string()> status_json;    // nullptr = minimal statusz

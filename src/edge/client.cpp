@@ -217,20 +217,6 @@ ClientResult BrowserClient::complete_at_edge(const Tensor& shared,
   return r;
 }
 
-ClientStats BrowserClient::stats() const {
-  ClientStats s;
-  s.classified = requests_.value();
-  s.exited_binary = exit_binary_.value();
-  s.completed_at_edge = exit_main_.value();
-  s.fallbacks = exit_fallback_.value();
-  s.retries = retries_.value();
-  s.reconnects = reconnects_.value();
-  s.busy_rejections = busy_rejections_.value();
-  s.model_unavailable = model_unavailable_.value();
-  s.total_edge_ms = roundtrip_us_.sum() / 1e3;
-  return s;
-}
-
 double BrowserClient::exit_fraction() const {
   const std::int64_t classified = requests_.value();
   return classified > 0 ? static_cast<double>(exit_binary_.value()) /

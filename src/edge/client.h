@@ -15,9 +15,9 @@
 // Observability: every classify() mints a 64-bit trace id, wraps each
 // stage (conv1, binary branch, serialize, network wait) in an obs::Span
 // tagged with it, and sends the id on the wire (v2 frame header) so the
-// server's spans stitch into the same timeline. Counters/latencies go
-// through an instance obs::Registry mirrored into Registry::global();
-// ClientStats is now a snapshot view over those instruments.
+// server's spans stitch into the same timeline. Counters/latencies are
+// recorded once, into this client's own obs::Registry (metrics()); the
+// exit decisions also feed the process-wide core.exit.* counters.
 #pragma once
 
 #include <optional>
@@ -56,26 +56,6 @@ struct RetryPolicy {
   static RetryPolicy no_retry();
 };
 
-/// Snapshot view of the client's edge-path behaviour, read out of the
-/// client's metrics registry (kept as a struct for API compatibility).
-struct ClientStats {
-  std::int64_t classified = 0;        // total classify() calls
-  std::int64_t exited_binary = 0;     // confident local exits
-  std::int64_t completed_at_edge = 0; // answered by the edge's main branch
-  std::int64_t fallbacks = 0;         // edge failed -> binary answer
-  std::int64_t retries = 0;           // re-attempts after a transport error
-  std::int64_t reconnects = 0;        // connections opened after the first
-  std::int64_t busy_rejections = 0;   // kBusy answers from the edge server
-  std::int64_t model_unavailable = 0; // kModelUnavailable answers
-  double total_edge_ms = 0.0;         // wall time of successful edge calls
-
-  double mean_edge_ms() const {
-    return completed_at_edge > 0
-               ? total_edge_ms / static_cast<double>(completed_at_edge)
-               : 0.0;
-  }
-};
-
 class BrowserClient {
  public:
   /// `port` is the edge server's loopback port; the connection is opened
@@ -94,9 +74,7 @@ class BrowserClient {
 
   std::int64_t classified() const { return requests_.value(); }
   std::int64_t fallbacks() const { return exit_fallback_.value(); }
-  /// Point-in-time snapshot of the edge-path counters.
-  ClientStats stats() const;
-  /// This client's own registry (also mirrored into Registry::global()).
+  /// This client's registry: every client.* instrument, and only here.
   const obs::Registry& metrics() const { return metrics_; }
   const RetryPolicy& retry_policy() const { return retry_; }
 
@@ -122,23 +100,23 @@ class BrowserClient {
   bool connected_once_ = false;
 
   obs::Registry metrics_;  // must precede the instruments bound to it
-  obs::MirroredCounter requests_{metrics_, obs::names::kClientRequests};
-  obs::MirroredCounter exit_binary_{metrics_, obs::names::kClientExitBinary};
-  obs::MirroredCounter exit_main_{metrics_, obs::names::kClientExitMain};
-  obs::MirroredCounter exit_fallback_{metrics_,
-                                      obs::names::kClientExitFallback};
-  obs::MirroredCounter retries_{metrics_, obs::names::kClientRetries};
-  obs::MirroredCounter reconnects_{metrics_, obs::names::kClientReconnects};
-  obs::MirroredCounter busy_rejections_{metrics_,
-                                        obs::names::kClientBusyRejections};
-  obs::MirroredCounter model_unavailable_{metrics_,
-                                          obs::names::kClientModelUnavailable};
-  obs::MirroredHistogram roundtrip_us_{metrics_,
-                                       obs::names::kClientEdgeRoundtripUs};
-  obs::MirroredHistogram browser_compute_us_{
-      metrics_, obs::names::kClientBrowserComputeUs};
-  obs::MirroredHistogram serialize_us_{metrics_,
-                                       obs::names::kClientSerializeUs};
+  obs::Counter& requests_{metrics_.counter(obs::names::kClientRequests)};
+  obs::Counter& exit_binary_{metrics_.counter(obs::names::kClientExitBinary)};
+  obs::Counter& exit_main_{metrics_.counter(obs::names::kClientExitMain)};
+  obs::Counter& exit_fallback_{
+      metrics_.counter(obs::names::kClientExitFallback)};
+  obs::Counter& retries_{metrics_.counter(obs::names::kClientRetries)};
+  obs::Counter& reconnects_{metrics_.counter(obs::names::kClientReconnects)};
+  obs::Counter& busy_rejections_{
+      metrics_.counter(obs::names::kClientBusyRejections)};
+  obs::Counter& model_unavailable_{
+      metrics_.counter(obs::names::kClientModelUnavailable)};
+  obs::Histogram& roundtrip_us_{
+      metrics_.histogram(obs::names::kClientEdgeRoundtripUs)};
+  obs::Histogram& browser_compute_us_{
+      metrics_.histogram(obs::names::kClientBrowserComputeUs)};
+  obs::Histogram& serialize_us_{
+      metrics_.histogram(obs::names::kClientSerializeUs)};
 };
 
 }  // namespace lcrs::edge

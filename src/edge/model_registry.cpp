@@ -32,11 +32,6 @@ std::shared_ptr<const ServableModel> ServableModel::from_fn(
   return m;
 }
 
-ModelRegistry::ModelRegistry() {
-  models_gauge_.set(0.0);
-  live_gauge_.set(0.0);
-}
-
 namespace {
 /// Drops expired retirees; returns how many are still pinned.
 std::size_t prune_expired(std::vector<std::weak_ptr<const ServableModel>>* v) {

@@ -78,11 +78,9 @@ struct ServableModel {
 };
 
 /// Thread-safe model-id -> snapshot map with strictly-increasing
-/// versions, retirement tracking, and its own mirrored instruments.
+/// versions, retirement tracking, and its own instruments.
 class ModelRegistry {
  public:
-  ModelRegistry();
-
   /// Installs `model` under model->model_id, displacing any incumbent.
   /// Throws InvalidArgument unless model->version is strictly greater
   /// than the incumbent's (monotonic version visibility) and the
@@ -113,7 +111,8 @@ class ModelRegistry {
   /// model's last batch has finished.
   std::int64_t live_models() LCRS_EXCLUDES(mutex_);
 
-  /// This registry's own metrics (also mirrored into Registry::global()).
+  /// This registry's metrics: every edge.registry.* instrument, and only
+  /// here (a serving EdgeServer's ops plane renders them).
   const obs::Registry& metrics() const { return metrics_; }
 
  private:
@@ -126,10 +125,10 @@ class ModelRegistry {
       LCRS_GUARDED_BY(mutex_);
 
   obs::Registry metrics_;  // must precede the instruments bound to it
-  obs::MirroredGauge models_gauge_{metrics_, obs::names::kRegistryModels};
-  obs::MirroredGauge live_gauge_{metrics_, obs::names::kRegistryModelsLive};
-  obs::MirroredCounter swaps_{metrics_, obs::names::kRegistrySwaps};
-  obs::MirroredCounter evictions_{metrics_, obs::names::kRegistryEvictions};
+  obs::Gauge& models_gauge_{metrics_.gauge(obs::names::kRegistryModels)};
+  obs::Gauge& live_gauge_{metrics_.gauge(obs::names::kRegistryModelsLive)};
+  obs::Counter& swaps_{metrics_.counter(obs::names::kRegistrySwaps)};
+  obs::Counter& evictions_{metrics_.counter(obs::names::kRegistryEvictions)};
 };
 
 }  // namespace lcrs::edge

@@ -95,9 +95,9 @@ EdgeServer::EdgeServer(std::uint16_t port,
   // Process/config gauges: registered up front so the very first scrape
   // (or any /statusz probe) already sees the serving shape.
   obs::register_process_gauges();
-  obs::MirroredGauge(metrics_, obs::names::kServerWorkerPoolSize)
+  metrics_.gauge(obs::names::kServerWorkerPoolSize)
       .set(static_cast<double>(opts_.num_workers));
-  obs::MirroredGauge(metrics_, obs::names::kServerMaxBatch)
+  metrics_.gauge(obs::names::kServerMaxBatch)
       .set(static_cast<double>(opts_.max_batch));
   ready_gauge_.set(1.0);
   workers_.reserve(static_cast<std::size_t>(opts_.num_workers));
@@ -111,6 +111,8 @@ EdgeServer::EdgeServer(std::uint16_t port,
     flight_prev_ = obs::flight_recording_enabled();
     obs::set_flight_recording_enabled(true);
     obs::OpsHooks hooks;
+    hooks.registries = {&obs::Registry::global(), &metrics_,
+                        &registry_->metrics()};
     hooks.ready = [this] { return ready(); };
     hooks.status_json = [this] { return status_json(); };
     ops_ = std::make_unique<obs::OpsServer>(
@@ -235,18 +237,6 @@ void EdgeServer::stop() {
 std::int64_t EdgeServer::queue_depth() const {
   MutexLock lock(queue_mutex_);
   return static_cast<std::int64_t>(queued_total_);
-}
-
-ServerStats EdgeServer::stats() const {
-  ServerStats s;
-  s.requests_served = requests_.value();
-  s.connections_accepted = accepted_.value();
-  s.connection_errors = connection_errors_.value();
-  s.rejected_busy = rejected_busy_.value();
-  s.rejected_unknown_model = rejected_model_.value();
-  s.batches_dispatched = batches_.value();
-  s.total_completion_ms = completion_us_.sum() / 1e3;
-  return s;
 }
 
 void EdgeServer::collect_finished_locked(std::vector<Connection>* out) {
@@ -426,9 +416,7 @@ void EdgeServer::serve_request_queued(
                           model_id});
   }
   requests_.add();
-  obs::MirroredCounter(metrics_,
-                       obs::names::model_metric(model_id, "requests"))
-      .add();
+  metrics_.counter(obs::names::model_metric(model_id, "requests")).add();
   obs::flight_record_finish(trace_id, false, "edge.served");
 }
 

@@ -107,25 +107,6 @@ struct ServerOptions {
   void validate() const;
 };
 
-/// Point-in-time snapshot of the server's request counters, read out of
-/// the server's metrics registry (kept as a struct for API
-/// compatibility).
-struct ServerStats {
-  std::int64_t requests_served = 0;
-  std::int64_t connections_accepted = 0;
-  std::int64_t connection_errors = 0;  // connections ended by an exception
-  std::int64_t rejected_busy = 0;      // admissions refused with kBusy
-  std::int64_t rejected_unknown_model = 0;  // kModelUnavailable replies
-  std::int64_t batches_dispatched = 0; // batched forwards executed
-  double total_completion_ms = 0.0;    // time spent inside the completion fn
-
-  double mean_completion_ms() const {
-    return requests_served > 0
-               ? total_completion_ms / static_cast<double>(requests_served)
-               : 0.0;
-  }
-};
-
 class EdgeServer {
  public:
   /// Binds immediately (port 0 = ephemeral) and starts serving with the
@@ -171,8 +152,9 @@ class EdgeServer {
   const std::shared_ptr<ModelRegistry>& registry() const { return registry_; }
   /// Total queued requests across every model queue.
   std::int64_t queue_depth() const LCRS_EXCLUDES(queue_mutex_);
-  ServerStats stats() const;
-  /// This server's own registry (also mirrored into Registry::global()).
+  /// This server's registry: every edge.server.* instrument, and only
+  /// here. The ops plane renders it merged with the process registry and
+  /// the model registry's, so a scrape describes this server alone.
   const obs::Registry& metrics() const { return metrics_; }
 
   /// Idempotent; wakes blocked connection/worker threads (even idle ones
@@ -257,24 +239,25 @@ class EdgeServer {
   std::atomic<bool> ready_{true};
 
   obs::Registry metrics_;  // must precede the instruments bound to it
-  obs::MirroredCounter requests_{metrics_, obs::names::kServerRequests};
-  obs::MirroredCounter accepted_{metrics_, obs::names::kServerConnections};
-  obs::MirroredCounter connection_errors_{
-      metrics_, obs::names::kServerConnectionErrors};
-  obs::MirroredCounter rejected_busy_{metrics_,
-                                      obs::names::kServerRejectedBusy};
-  obs::MirroredCounter rejected_model_{metrics_,
-                                       obs::names::kServerRejectedModel};
-  obs::MirroredCounter batches_{metrics_, obs::names::kServerBatches};
-  obs::MirroredGauge active_connections_{
-      metrics_, obs::names::kServerActiveConnections};
-  obs::MirroredGauge queue_depth_{metrics_, obs::names::kServerQueueDepth};
-  obs::MirroredHistogram completion_us_{metrics_,
-                                        obs::names::kServerCompletionUs};
-  obs::MirroredHistogram queue_wait_us_{metrics_,
-                                        obs::names::kServerQueueWaitUs};
-  obs::MirroredHistogram batch_size_{metrics_, obs::names::kServerBatchSize};
-  obs::MirroredGauge ready_gauge_{metrics_, obs::names::kServerReady};
+  obs::Counter& requests_{metrics_.counter(obs::names::kServerRequests)};
+  obs::Counter& accepted_{metrics_.counter(obs::names::kServerConnections)};
+  obs::Counter& connection_errors_{
+      metrics_.counter(obs::names::kServerConnectionErrors)};
+  obs::Counter& rejected_busy_{
+      metrics_.counter(obs::names::kServerRejectedBusy)};
+  obs::Counter& rejected_model_{
+      metrics_.counter(obs::names::kServerRejectedModel)};
+  obs::Counter& batches_{metrics_.counter(obs::names::kServerBatches)};
+  obs::Gauge& active_connections_{
+      metrics_.gauge(obs::names::kServerActiveConnections)};
+  obs::Gauge& queue_depth_{metrics_.gauge(obs::names::kServerQueueDepth)};
+  obs::Histogram& completion_us_{
+      metrics_.histogram(obs::names::kServerCompletionUs)};
+  obs::Histogram& queue_wait_us_{
+      metrics_.histogram(obs::names::kServerQueueWaitUs)};
+  obs::Histogram& batch_size_{
+      metrics_.histogram(obs::names::kServerBatchSize)};
+  obs::Gauge& ready_gauge_{metrics_.gauge(obs::names::kServerReady)};
 
   // Per-model request queues feeding the shared worker pool. Leaf-like:
   // nothing else is acquired while queue_mutex_ is held (slots are

@@ -25,6 +25,13 @@
 namespace lcrs::edge {
 namespace {
 
+/// One counter read out of a component's registry.
+std::int64_t counter_value(const obs::Registry& metrics, const char* name) {
+  const obs::Snapshot snap = metrics.snapshot();
+  const obs::CounterSnapshot* c = snap.find_counter(name);
+  return c != nullptr ? c->value : 0;
+}
+
 TEST(Protocol, FrameRoundTrip) {
   Frame f;
   f.type = MsgType::kCompleteRequest;
@@ -400,7 +407,9 @@ TEST(EndToEnd, ClientModelIdRoutesAndUnavailableFallsBack) {
   const ClientResult ok =
       client.classify(Tensor::randn(Shape{1, 1, 28, 28}, rng));
   EXPECT_EQ(ok.exit_point, core::ExitPoint::kMainBranch);
-  EXPECT_EQ(client.stats().model_unavailable, 0);
+  EXPECT_EQ(counter_value(client.metrics(),
+                          obs::names::kClientModelUnavailable),
+            0);
 
   // Retagging to an unregistered id: every attempt draws
   // kModelUnavailable and the client degrades to the binary branch --
@@ -409,11 +418,13 @@ TEST(EndToEnd, ClientModelIdRoutesAndUnavailableFallsBack) {
   const ClientResult fb =
       client.classify(Tensor::randn(Shape{1, 1, 28, 28}, rng));
   EXPECT_EQ(fb.exit_point, core::ExitPoint::kBinaryBranchFallback);
-  EXPECT_EQ(client.stats().model_unavailable, retry.max_attempts);
+  EXPECT_EQ(counter_value(client.metrics(),
+                          obs::names::kClientModelUnavailable),
+            retry.max_attempts);
 
   server.stop();
-  EXPECT_EQ(server.stats().requests_served, 1);
-  EXPECT_EQ(server.stats().rejected_unknown_model, retry.max_attempts);
+  EXPECT_EQ(server.requests_served(), 1);
+  EXPECT_EQ(server.rejected_unknown_model(), retry.max_attempts);
 }
 
 TEST(EndToEnd, StitchedTraceSpansClientAndServer) {
@@ -489,7 +500,7 @@ TEST(EndToEnd, StitchedTraceSpansClientAndServer) {
   EXPECT_EQ(server_snap.find_counter(obs::names::kServerRequests)->value,
             kRequests);
 
-  // The global registry mirrors both sides and the shared exit recorder.
+  // The global registry holds the shared exit recorder.
   const obs::Snapshot global = obs::Registry::global().snapshot();
   const auto* gexit = global.find_counter(obs::names::kExitMain);
   ASSERT_NE(gexit, nullptr);
@@ -757,7 +768,7 @@ TEST(EndToEnd, ServerKilledMidRequestFallsBackToBinary) {
   EXPECT_EQ(r.exit_point, core::ExitPoint::kBinaryBranchFallback);
   EXPECT_LT(watch.millis(), 1500.0);  // bounded by the edge-path deadline
   EXPECT_EQ(client.fallbacks(), 1);
-  EXPECT_GE(client.stats().retries, 1);
+  EXPECT_GE(counter_value(client.metrics(), obs::names::kClientRetries), 1);
 
   // Fallback correctness: the degraded answer IS the binary branch's
   // prediction (always-exit policy reproduces pure binary inference).
@@ -821,8 +832,9 @@ TEST(EndToEnd, ReconnectAfterMidRequestErrorThenSucceed) {
   flaky.join();
   EXPECT_EQ(r.exit_point, core::ExitPoint::kMainBranch);
   EXPECT_EQ(r.label, 4);
-  EXPECT_GE(client.stats().retries, 1);
-  EXPECT_GE(client.stats().reconnects, 1);
+  EXPECT_GE(counter_value(client.metrics(), obs::names::kClientRetries), 1);
+  EXPECT_GE(counter_value(client.metrics(), obs::names::kClientReconnects),
+            1);
   EXPECT_EQ(client.fallbacks(), 0);
 }
 
@@ -867,10 +879,13 @@ TEST(EndToEnd, InjectedMidFrameCloseIsCountedAsServerError) {
   }
   EXPECT_GE(fi.connections_closed(), 1);
   // The server saw the torn connections as mid-message EOFs.
-  for (int i = 0; i < 200 && server.stats().connection_errors < 1; ++i) {
+  const auto errors = [&server] {
+    return counter_value(server.metrics(), obs::names::kServerConnectionErrors);
+  };
+  for (int i = 0; i < 200 && errors() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(server.stats().connection_errors, 1);
+  EXPECT_GE(errors(), 1);
 }
 
 TEST(EdgeServer, StopWithIdleConnectionReturnsPromptly) {
@@ -925,14 +940,16 @@ TEST(EdgeServer, StatsSnapshotTracksCompletions) {
   conn.send_frame(
       Frame{MsgType::kCompleteRequest, make_complete_request(shared)});
   ASSERT_TRUE(conn.recv_frame().has_value());
-  for (int i = 0; i < 200 && server.stats().requests_served < 1; ++i) {
+  for (int i = 0; i < 200 && server.requests_served() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  const ServerStats s = server.stats();
-  EXPECT_EQ(s.requests_served, 1);
-  EXPECT_EQ(s.connections_accepted, 1);
-  EXPECT_GE(s.total_completion_ms, 0.0);
-  EXPECT_EQ(s.mean_completion_ms(), s.total_completion_ms);
+  EXPECT_EQ(server.requests_served(), 1);
+  EXPECT_EQ(server.connections_accepted(), 1);
+  const obs::Snapshot snap = server.metrics().snapshot();
+  const auto* completion = snap.find_histogram(obs::names::kServerCompletionUs);
+  ASSERT_NE(completion, nullptr);
+  EXPECT_EQ(completion->count, 1);  // one request, one batch
+  EXPECT_GE(completion->sum, 0.0);
 }
 
 TEST(EndToEnd, FallbackDisabledRethrows) {
@@ -1186,7 +1203,8 @@ TEST(EndToEnd, ClientRetriesThroughBusyAndSucceeds) {
   classifier.join();
   (void)a.recv_frame(Deadline::after_ms(5000.0));
   (void)b.recv_frame(Deadline::after_ms(5000.0));
-  EXPECT_GE(client.stats().busy_rejections, 1);
+  EXPECT_GE(
+      counter_value(client.metrics(), obs::names::kClientBusyRejections), 1);
   EXPECT_EQ(client.fallbacks(), 0);
 }
 

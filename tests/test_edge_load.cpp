@@ -267,12 +267,12 @@ TEST(EdgeLoad, SeededBrowserClientMixUnderFaultsReconciles) {
         for (int i = 0; i < kRequestsEach; ++i) {
           (void)client.classify(Tensor::randn(Shape{1, 1, 28, 28}, crng));
         }
-        const ClientStats s = client.stats();
+        const obs::Snapshot s = client.metrics().snapshot();
         Outcome& o = outcomes[static_cast<std::size_t>(c)];
-        o.classified = s.classified;
-        o.binary = s.exited_binary;
-        o.main = s.completed_at_edge;
-        o.fallback = s.fallbacks;
+        o.classified = client.classified();
+        o.binary = s.find_counter(obs::names::kClientExitBinary)->value;
+        o.main = s.find_counter(obs::names::kClientExitMain)->value;
+        o.fallback = client.fallbacks();
       });
     }
     for (auto& t : threads) t.join();

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/obs/metric_names.h"
+#include "common/obs/metrics.h"
 #include "common/sync.h"
 #include "core/inference.h"
 #include "edge/client.h"
@@ -22,6 +24,13 @@
 
 namespace lcrs::edge {
 namespace {
+
+/// One counter read out of a component's registry.
+std::int64_t counter_value(const obs::Registry& metrics, const char* name) {
+  const obs::Snapshot snap = metrics.snapshot();
+  const obs::CounterSnapshot* c = snap.find_counter(name);
+  return c != nullptr ? c->value : 0;
+}
 
 core::CompositeNetwork make_net(Rng& rng) {
   const models::ModelConfig cfg{models::Arch::kLeNet, 1, 28, 28, 10, 0.5};
@@ -222,10 +231,13 @@ TEST(EdgeSoak, PoisonedBatchMemberFailsAlone) {
   expect_exact(warm, warm_shared);
 
   // The victim's failed reply is charged to ITS connection, nothing else.
-  for (int i = 0; i < 5000 && server.stats().connection_errors < 1; ++i) {
+  const auto errors = [&server] {
+    return counter_value(server.metrics(), obs::names::kServerConnectionErrors);
+  };
+  for (int i = 0; i < 5000 && errors() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_GE(server.stats().connection_errors, 1);
+  EXPECT_GE(errors(), 1);
   for (int i = 0; i < 500 && server.requests_served() < 3; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }

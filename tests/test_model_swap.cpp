@@ -30,6 +30,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/obs/metric_names.h"
+#include "common/obs/metrics.h"
 #include "edge/model_registry.h"
 #include "edge/server.h"
 #include "edge/tcp.h"
@@ -231,7 +233,22 @@ TEST(ModelSwap, SwapUnderLoadNoDropsNoMisroutes) {
       << "retired model snapshots still pinned after the flood drained";
 
   server.stop();
-  EXPECT_EQ(server.stats().requests_served, total);
+  EXPECT_EQ(server.requests_served(), total);
+
+  // The per-model request counters split the served total by model id:
+  // every request counted once, under the id its client targeted.
+  const obs::Snapshot snap = server.metrics().snapshot();
+  std::int64_t per_model_sum = 0;
+  for (const obs::CounterSnapshot& c : snap.counters) {
+    if (c.name.rfind("edge.server.model.", 0) == 0) per_model_sum += c.value;
+  }
+  EXPECT_EQ(per_model_sum, server.requests_served());
+  for (const std::uint32_t id : kModelIds) {
+    const auto* c =
+        snap.find_counter(obs::names::model_metric(id, "requests"));
+    ASSERT_NE(c, nullptr) << "model " << id;
+    EXPECT_EQ(c->value, kClients / 2 * kRequestsPerClient) << "model " << id;
+  }
 }
 
 /// A client whose model is evicted mid-flood keeps its connection and
@@ -281,7 +298,7 @@ TEST(ModelSwap, EvictionRejectsWithoutDroppingConnections) {
   EXPECT_EQ(reply->type, edge::MsgType::kCompleteResponse);
 
   server.stop();
-  EXPECT_EQ(server.stats().rejected_unknown_model, 1);
+  EXPECT_EQ(server.rejected_unknown_model(), 1);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Observability tests: metric registry semantics (naming, collision
-// rules, percentiles, reset-keeps-references), mirrored instruments,
+// rules, percentiles, reset-keeps-references), snapshot merging,
 // trace spans and sinks, trace-id minting, and concurrent hammering of
 // counters/histograms/span emission (the TSan target for this layer).
 #include <gtest/gtest.h>
@@ -160,30 +160,45 @@ TEST(RegistryTest, SnapshotFindTextJson) {
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
-TEST(RegistryTest, MirroredInstrumentsUpdateBothSides) {
-  Registry local;
-  // Use a test-local name so parallel suites sharing the global registry
-  // cannot interfere.
-  const std::string name = "test.mirror.counter";
-  const std::int64_t before = Registry::global().counter(name).value();
-  MirroredCounter mc(local, name);
-  mc.add(2);
-  EXPECT_EQ(mc.value(), 2);
-  EXPECT_EQ(local.counter(name).value(), 2);
-  EXPECT_EQ(Registry::global().counter(name).value(), before + 2);
+TEST(SnapshotMerge, UnionStaysSortedInEverySection) {
+  Registry a;
+  Registry b;
+  a.counter("m.count").add(1);
+  b.counter("a.count").add(2);
+  a.counter("z.count").add(3);
+  b.gauge("y.depth").set(1.0);
+  a.gauge("b.depth").set(2.0);
+  b.histogram("k.lat_us").record(5.0);
+  a.histogram("c.lat_us").record(6.0);
+  a.histogram("x.lat_us").record(7.0);
 
-  const std::string hname = "test.mirror.hist_us";
-  MirroredHistogram mh(local, hname);
-  mh.record(7.0);
-  EXPECT_EQ(mh.count(), 1);
-  EXPECT_DOUBLE_EQ(mh.sum(), 7.0);
-  EXPECT_GE(Registry::global().histogram(hname).count(), 1);
+  const Snapshot m = Snapshot::merge({a.snapshot(), b.snapshot()});
+  const auto names = [](const auto& section) {
+    std::vector<std::string> out;
+    for (const auto& i : section) out.push_back(i.name);
+    return out;
+  };
+  EXPECT_EQ(names(m.counters),
+            (std::vector<std::string>{"a.count", "m.count", "z.count"}));
+  EXPECT_EQ(names(m.gauges), (std::vector<std::string>{"b.depth", "y.depth"}));
+  EXPECT_EQ(names(m.histograms),
+            (std::vector<std::string>{"c.lat_us", "k.lat_us", "x.lat_us"}));
+  EXPECT_EQ(m.find_counter("a.count")->value, 2);
+  EXPECT_EQ(m.find_histogram("x.lat_us")->count, 1);
+  EXPECT_TRUE(Snapshot::merge({}).counters.empty());
+}
 
-  const std::string gname = "test.mirror.gauge";
-  MirroredGauge mg(local, gname);
-  mg.add(1.0);
-  mg.add(-1.0);
-  EXPECT_DOUBLE_EQ(mg.value(), 0.0);
+TEST(SnapshotMerge, NameInTwoInputsThrows) {
+  Registry a;
+  Registry b;
+  a.counter("edge.server.requests").add(1);
+  b.counter("edge.server.requests").add(1);
+  EXPECT_THROW(Snapshot::merge({a.snapshot(), b.snapshot()}), Error);
+
+  // Across kinds too: one Prometheus name cannot carry two types.
+  Registry c;
+  c.gauge("edge.server.requests").set(1.0);
+  EXPECT_THROW(Snapshot::merge({a.snapshot(), c.snapshot()}), Error);
 }
 
 TEST(MetricNames, BuildersProduceValidNames) {

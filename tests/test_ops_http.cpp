@@ -2,8 +2,9 @@
 // port, scraped over real sockets. Covers the PR's acceptance criteria:
 // under a 16-client burst /metrics stays conformant exposition and
 // /tracez holds the slowest request's fully stitched client<->edge span
-// timeline; plus /readyz flipping during drain and the OpsServer's
-// hardened request handling (431 header floods, 400 garbage).
+// timeline; plus /readyz flipping during drain, the OpsServer's
+// hardened request handling (431 header floods, 400 garbage), and
+// per-server scrapes when two servers share one process.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,6 +45,16 @@ ServerOptions with_ops() {
   ServerOptions opts;
   opts.ops_port = 0;  // ephemeral side port
   return opts;
+}
+
+/// Value of an unlabelled series in a Prometheus exposition ("" when
+/// the series is absent).
+std::string prom_value(const std::string& body, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const std::size_t at = body.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t begin = at + key.size();
+  return body.substr(begin, body.find('\n', begin) - begin);
 }
 
 TEST(OpsHttp, LiveEndpointsServeAndReport) {
@@ -315,6 +326,61 @@ TEST(OpsHttp, StandaloneOpsServerStopsCleanly) {
   server->stop();  // idempotent
   server.reset();
   EXPECT_THROW(obs::http_get(port, "/healthz", 200.0), Error);
+}
+
+TEST(OpsHttp, EachServerScrapesOnlyItsOwnState) {
+  // Two servers with ops planes in one process: every edge.server.*
+  // series a scrape returns describes the server it was scraped from.
+  Rng rng(16);
+  core::CompositeNetwork net = make_net(rng);
+  ServerOptions a_opts = with_ops();
+  a_opts.num_workers = 3;
+  ServerOptions b_opts = with_ops();
+  b_opts.num_workers = 1;
+  EdgeServer a(0, completion_for(net), a_opts);
+  EdgeServer b(0, completion_for(net), b_opts);
+
+  const auto serve = [&](EdgeServer& server, int n) {
+    Socket conn = connect_local(server.port());
+    for (int i = 0; i < n; ++i) {
+      const Tensor shared = net.shared_stage().forward(
+          Tensor::randn(Shape{1, 1, 28, 28}, rng), false);
+      conn.send_frame(Frame{MsgType::kCompleteRequest,
+                            make_complete_request(shared)});
+      const auto reply = conn.recv_frame();
+      ASSERT_TRUE(reply.has_value());
+      EXPECT_EQ(reply->type, MsgType::kCompleteResponse);
+    }
+    // The served counter moves after the reply is on the wire.
+    for (int i = 0; i < 2000 && server.requests_served() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(server.requests_served(), n);
+  };
+  serve(a, 2);
+  b.set_ready(false);  // B drains but keeps serving
+  serve(b, 3);
+
+  const std::string a_metrics = obs::http_get(a.ops_port(), "/metrics").body;
+  EXPECT_EQ(obs::http_get(a.ops_port(), "/readyz").status, 200);
+  EXPECT_EQ(prom_value(a_metrics, "lcrs_edge_server_ready"), "1");
+  EXPECT_EQ(prom_value(a_metrics, "lcrs_edge_server_worker_pool_size"), "3");
+  EXPECT_EQ(prom_value(a_metrics, "lcrs_edge_server_requests"), "2");
+
+  const std::string b_metrics = obs::http_get(b.ops_port(), "/metrics").body;
+  EXPECT_EQ(obs::http_get(b.ops_port(), "/readyz").status, 503);
+  EXPECT_EQ(prom_value(b_metrics, "lcrs_edge_server_ready"), "0");
+  EXPECT_EQ(prom_value(b_metrics, "lcrs_edge_server_worker_pool_size"), "1");
+  EXPECT_EQ(prom_value(b_metrics, "lcrs_edge_server_requests"), "3");
+  // Process-wide series still ride along on both scrapes.
+  EXPECT_NE(prom_value(a_metrics, "lcrs_process_uptime_seconds"), "");
+  EXPECT_NE(prom_value(b_metrics, "lcrs_process_uptime_seconds"), "");
+
+  // Stop in reverse start order so each restores the flight-recorder
+  // state it found.
+  b.stop();
+  a.stop();
+  EXPECT_FALSE(obs::flight_recording_enabled());
 }
 
 }  // namespace

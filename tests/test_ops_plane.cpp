@@ -168,7 +168,7 @@ TEST(Prometheus, BucketsAreCumulativeAndInfEqualsCount) {
 
 OpsHooks fixture_hooks(const Registry* reg, const FlightRecorder* rec) {
   OpsHooks hooks;
-  hooks.registry = reg;
+  hooks.registries = {reg};
   hooks.recorder = rec;
   return hooks;
 }
