@@ -232,7 +232,8 @@ int cmd_bundle(int argc, char** argv) {
 
 /// Installs a bundle into `registry` under its own model id. With
 /// `alias_default`, the same prepared snapshot (network, completion) is
-/// also installed as model 0, so untagged v1/v2 clients are served by it.
+/// also installed as model 0, so clients that name no model are served
+/// by it.
 void install_bundle(edge::ModelRegistry& registry,
                     core::LoadedBundle bundle, bool alias_default) {
   const core::BundleInfo info = bundle.info;

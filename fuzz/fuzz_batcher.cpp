@@ -43,7 +43,7 @@ constexpr int kMaxOps = 48;
 constexpr double kIoDeadlineMs = 5000.0;
 
 /// The second registered model; swap/evict ops target it so model 0 (the
-/// default every v1/v2 frame routes to) is always servable.
+/// default that untagged frames route to) is always servable.
 constexpr std::uint32_t kAltModelId = 2;
 /// Never registered: requests carrying it must draw kModelUnavailable.
 constexpr std::uint32_t kUnknownModelId = 77;
@@ -161,8 +161,8 @@ void op_send_request(fuzz::FuzzInput* in, ClientSlot* c) {
   for (std::int64_t i = 0; i < t.numel(); ++i) t.data()[i] = in->take_f32();
   edge::Frame frame{edge::MsgType::kCompleteRequest,
                     edge::make_complete_request(t),
-                    /*trace_id=*/in->take_u8(),  // 0 + model 0 = v1 header
-                    model_id};                   // nonzero = v3 header
+                    /*trace_id=*/in->take_u8(),  // 0 = untraced
+                    model_id};                   // 0 = default model
   c->sock->send_frame(frame, io_deadline());
   c->expected.push_back(ExpectedReply{
       row_label(t.data(), t.numel()) + model_label_offset(model_id),
@@ -238,8 +238,10 @@ void op_garbage(fuzz::FuzzInput* in, ClientSlot* c) {
   std::uint8_t junk[16];
   for (auto& b : junk) b = in->take_u8();
   c->sock->send_all(junk, sizeof(junk), io_deadline());
-  // The server will reject the stream and close; this slot may see EOF on
-  // its next use and drops then.
+  // Fewer bytes than one frame header: the server waits for the rest,
+  // rejects the stream once this slot's next frame completes the header
+  // (or sees EOF when the slot closes), and hangs up. This slot may see
+  // EOF on its next use and drops then.
   c->expected.clear();
 }
 

@@ -3,12 +3,11 @@
 //
 // Oracles beyond "no crash":
 //   * decode_frame accepts  => encode_frame(decoded) reproduces the input
-//     byte-for-byte (the wire format is canonical: v3 iff model_id != 0,
-//     else v2 iff trace_id != 0, else v1).
+//     byte-for-byte (one fixed header, so every frame has one encoding).
 //   * a typed payload parses => rebuilding the payload from the parsed
 //     value and re-parsing yields the same value (make/parse agree).
-//   * the streaming header parsers agree with whole-buffer decode_frame
-//     about version, type, model id, trace id and payload size.
+//   * the streaming header parser agrees with whole-buffer decode_frame
+//     about type, model id, trace id and payload size.
 #include <cstring>
 
 #include "edge/protocol.h"
@@ -80,39 +79,30 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     // expected rejection path for malformed frames
   }
 
-  // Streaming header paths (the server reads the 9-byte common prefix,
-  // then widens for v2/v3). They must agree with whole-buffer decoding.
+  // Streaming header path (the socket reads kFrameHeaderBytes, parses
+  // them, then reads the payload). It must agree with decode_frame.
   if (size >= edge::kFrameHeaderBytes) {
+    edge::MsgType type{};
+    std::uint32_t model_id = 0;
+    std::uint64_t trace_id = 0;
+    std::uint32_t payload_size = 0;
     try {
-      const int version = edge::frame_header_version(data);
-      edge::MsgType type{};
-      std::uint32_t model_id = 0;
-      std::uint64_t trace_id = 0;
-      std::uint32_t payload_size = 0;
-      if (version == 1) {
-        payload_size = edge::parse_frame_header(data, &type);
-      } else if (version == 2 && size >= edge::kFrameHeaderBytesV2) {
-        payload_size = edge::parse_frame_header_v2(data, &type, &trace_id);
-      } else if (version == 3 && size >= edge::kFrameHeaderBytesV3) {
-        payload_size =
-            edge::parse_frame_header_v3(data, &type, &model_id, &trace_id);
-      } else {
-        return 0;  // not enough bytes for the widened header
-      }
-      try {
-        const edge::Frame f = edge::decode_frame(bytes);
-        FUZZ_ASSERT(f.type == type, "streaming header type disagrees");
-        FUZZ_ASSERT(f.model_id == model_id,
-                    "streaming header model id disagrees");
-        FUZZ_ASSERT(f.trace_id == trace_id,
-                    "streaming header trace id disagrees");
-        FUZZ_ASSERT(f.payload.size() == payload_size,
-                    "streaming header payload size disagrees");
-      } catch (const Error&) {
-        // whole-buffer decode may still reject (truncated payload etc.)
-      }
+      payload_size =
+          edge::parse_frame_header(data, &type, &model_id, &trace_id);
     } catch (const Error&) {
-      // header-level rejection
+      return 0;  // header-level rejection
+    }
+    try {
+      const edge::Frame f = edge::decode_frame(bytes);
+      FUZZ_ASSERT(f.type == type, "streaming header type disagrees");
+      FUZZ_ASSERT(f.model_id == model_id,
+                  "streaming header model id disagrees");
+      FUZZ_ASSERT(f.trace_id == trace_id,
+                  "streaming header trace id disagrees");
+      FUZZ_ASSERT(f.payload.size() == payload_size,
+                  "streaming header payload size disagrees");
+    } catch (const Error&) {
+      // whole-buffer decode may still reject (truncated payload etc.)
     }
   }
   return 0;

@@ -71,24 +71,24 @@ void gen_frame_parser() {
        edge::encode_frame({edge::MsgType::kShutdown, {}}));
   emit("frame_parser", "seed-busy",
        edge::encode_frame({edge::MsgType::kBusy, edge::make_busy_reply(25)}));
-  emit("frame_parser", "seed-request-v1",
+  emit("frame_parser", "seed-request",
        edge::encode_frame(
            {edge::MsgType::kCompleteRequest,
             edge::make_complete_request(Tensor::randn(Shape{1, 4, 7, 7},
                                                       rng))}));
-  emit("frame_parser", "seed-request-v2",
+  emit("frame_parser", "seed-request-traced",
        edge::encode_frame(
            {edge::MsgType::kCompleteRequest,
             edge::make_complete_request(Tensor::randn(Shape{1, 2, 4, 4},
                                                       rng)),
             0x0123456789abcdefull}));
-  emit("frame_parser", "seed-request-v3",
+  emit("frame_parser", "seed-request-routed",
        edge::encode_frame(
            {edge::MsgType::kCompleteRequest,
             edge::make_complete_request(Tensor::randn(Shape{1, 2, 4, 4},
                                                       rng)),
             0x0123456789abcdefull, /*model_id=*/2}));
-  emit("frame_parser", "seed-request-v3-untraced",
+  emit("frame_parser", "seed-request-routed-untraced",
        edge::encode_frame(
            {edge::MsgType::kCompleteRequest,
             edge::make_complete_request(Tensor::randn(Shape{1, 1, 8, 8},
@@ -107,88 +107,53 @@ void gen_frame_parser() {
                              edge::make_complete_response(resp)}));
   }
 
-  constexpr std::uint32_t kFrameMagic = 0x4c435246;    // "LCRF"
-  constexpr std::uint32_t kFrameMagicV2 = 0x4c435632;  // "LCV2"
-  constexpr std::uint32_t kFrameMagicV3 = 0x4c435633;  // "LCV3"
-  {  // inflated length field with no payload behind it
+  constexpr std::uint32_t kFrameMagic = 0x4c435633;  // "LCV3"
+  constexpr std::uint32_t kOldMagicV1 = 0x4c435246;  // "LCRF"
+  constexpr std::uint32_t kOldMagicV2 = 0x4c435632;  // "LCV2"
+  // A hand-built header: `type`, model id 2, trace id 1, announced
+  // payload size `size`.
+  auto header = [](std::uint8_t type, std::uint32_t size) {
     ByteWriter w;
     w.write_u32(kFrameMagic);
-    w.write_u8(0);
-    w.write_u32(0xFFFFFFFFu);
-    emit("frame_parser", "crasher-v1-inflated-length", w.bytes());
-  }
-  emit("frame_parser", "crasher-truncated-header", {0x46, 0x52});
-  {  // one-past-the-end message type (kModelUnavailable + 1)
-    ByteWriter w;
-    w.write_u32(kFrameMagic);
-    w.write_u8(7);
-    w.write_u32(0);
-    emit("frame_parser", "crasher-v1-bad-type", w.bytes());
-  }
-  {  // v2 inflated length, trace id valid so only the size is bad
-    ByteWriter w;
-    w.write_u32(kFrameMagicV2);
-    w.write_u8(0);
-    w.write_u64(1);
-    w.write_u32(0xFFFFFFFFu);
-    emit("frame_parser", "crasher-v2-inflated-length", w.bytes());
-  }
-  {  // v2 truncated inside the widened header
-    ByteWriter w;
-    w.write_u32(kFrameMagicV2);
-    w.write_u8(0);
-    w.write_u32(7);  // only 4 of the 8 trace-id bytes present
-    emit("frame_parser", "crasher-v2-truncated-header", w.bytes());
-  }
-  {  // v2 with the reserved zero trace id ("untraced" must use v1)
-    ByteWriter w;
-    w.write_u32(kFrameMagicV2);
-    w.write_u8(0);
-    w.write_u64(0);
-    w.write_u32(0);
-    emit("frame_parser", "crasher-v2-zero-trace-id", w.bytes());
-  }
-  {  // v2 with an invalid message type
-    ByteWriter w;
-    w.write_u32(kFrameMagicV2);
-    w.write_u8(200);
-    w.write_u64(1);
-    w.write_u32(0);
-    emit("frame_parser", "crasher-v2-bad-type", w.bytes());
-  }
-  {  // v3 with the reserved zero model id (canonical form is v1/v2)
-    ByteWriter w;
-    w.write_u32(kFrameMagicV3);
-    w.write_u8(0);
-    w.write_u32(0);  // model id
-    w.write_u64(1);  // trace id
-    w.write_u32(0);  // payload size
-    emit("frame_parser", "crasher-v3-zero-model-id", w.bytes());
-  }
-  {  // v3 truncated inside the widened header
-    ByteWriter w;
-    w.write_u32(kFrameMagicV3);
-    w.write_u8(0);
-    w.write_u32(2);  // model id, then the header just stops
-    emit("frame_parser", "crasher-v3-truncated-header", w.bytes());
-  }
-  {  // v3 with an invalid message type
-    ByteWriter w;
-    w.write_u32(kFrameMagicV3);
-    w.write_u8(200);
+    w.write_u8(type);
     w.write_u32(2);
     w.write_u64(1);
-    w.write_u32(0);
-    emit("frame_parser", "crasher-v3-bad-type", w.bytes());
+    w.write_u32(size);
+    return w.take();
+  };
+  // Largest legal length with no payload behind it: must be rejected
+  // before the payload is allocated.
+  emit("frame_parser", "crasher-inflated-length",
+       header(0, edge::kMaxFramePayloadBytes));
+  emit("frame_parser", "crasher-over-limit-length",
+       header(0, edge::kMaxFramePayloadBytes + 1));
+  // One-past-the-end message type (kModelUnavailable + 1).
+  emit("frame_parser", "crasher-bad-type", header(7, 0));
+  {  // a header cut off one byte short
+    Bytes cut = header(0, 0);
+    cut.pop_back();
+    emit("frame_parser", "crasher-truncated-header", cut);
   }
-  {  // v3 inflated length field with no payload behind it
+  // Frames in the retired layouts ("LCRF": no ids; "LCV2": trace id
+  // only), long enough to fill a current header so the magic check is
+  // what rejects them.
+  const Bytes old_payload = edge::make_complete_request(Tensor(Shape{1, 2}));
+  {
     ByteWriter w;
-    w.write_u32(kFrameMagicV3);
-    w.write_u8(0);
-    w.write_u32(2);
+    w.write_u32(kOldMagicV1);
+    w.write_u8(static_cast<std::uint8_t>(edge::MsgType::kCompleteRequest));
+    w.write_u32(static_cast<std::uint32_t>(old_payload.size()));
+    w.write_bytes(old_payload.data(), old_payload.size());
+    emit("frame_parser", "crasher-old-magic-v1", w.bytes());
+  }
+  {
+    ByteWriter w;
+    w.write_u32(kOldMagicV2);
+    w.write_u8(static_cast<std::uint8_t>(edge::MsgType::kCompleteRequest));
     w.write_u64(1);
-    w.write_u32(0xFFFFFFFFu);
-    emit("frame_parser", "crasher-v3-inflated-length", w.bytes());
+    w.write_u32(static_cast<std::uint32_t>(old_payload.size()));
+    w.write_bytes(old_payload.data(), old_payload.size());
+    emit("frame_parser", "crasher-old-magic-v2", w.bytes());
   }
   // Busy-payload crashers (used to call parse_busy_reply directly in the
   // inline corpus): wrapped as whole kBusy frames so the frame harness

@@ -3,7 +3,7 @@
 // A request gets a 64-bit trace id in BrowserClient::classify(); every
 // stage it passes through (browser conv1, binary branch, serialize,
 // network wait, edge deserialize/complete/serialize) opens a RAII Span
-// tagged with that id. The id rides the wire in the v2 protocol frame
+// tagged with that id. The id rides the wire in the protocol frame
 // header, so client-side and server-side spans for one request stitch
 // into a single timeline in whatever sink is installed.
 //

@@ -14,8 +14,8 @@
 //
 // Observability: every classify() mints a 64-bit trace id, wraps each
 // stage (conv1, binary branch, serialize, network wait) in an obs::Span
-// tagged with it, and sends the id on the wire (v2 frame header) so the
-// server's spans stitch into the same timeline. Counters/latencies are
+// tagged with it, and sends the id in the frame header so the server's
+// spans stitch into the same timeline. Counters/latencies are
 // recorded once, into this client's own obs::Registry (metrics()); the
 // exit decisions also feed the process-wide core.exit.* counters.
 #pragma once
@@ -78,10 +78,9 @@ class BrowserClient {
   const obs::Registry& metrics() const { return metrics_; }
   const RetryPolicy& retry_policy() const { return retry_; }
 
-  /// Which edge-side model completes this client's requests. 0 (the
-  /// default) targets the server's default model over the v1/v2 wire
-  /// format, byte-identical to pre-registry clients; nonzero ids ride
-  /// the v3 frame header.
+  /// Which edge-side model completes this client's requests, carried in
+  /// the frame header. 0 (the default) targets the server's default
+  /// model.
   void set_model_id(std::uint32_t model_id) { model_id_ = model_id; }
   std::uint32_t model_id() const { return model_id_; }
 

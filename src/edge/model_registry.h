@@ -1,6 +1,6 @@
 // Multi-model serving registry for the edge server.
 //
-// The registry maps a protocol-level model id (v3 frame header,
+// The registry maps a protocol-level model id (frame header,
 // edge/protocol.h) to an immutable *servable model snapshot*: a prepared
 // batch-completion function plus whatever state keeps it valid (for real
 // models, the CompositeNetwork the closure is bound to). Snapshots are

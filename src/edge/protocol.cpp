@@ -6,116 +6,60 @@
 namespace lcrs::edge {
 
 namespace {
-constexpr std::uint32_t kFrameMagic = 0x4c435246;    // "LCRF" (v1)
-constexpr std::uint32_t kFrameMagicV2 = 0x4c435632;  // "LCV2" (traced)
-constexpr std::uint32_t kFrameMagicV3 = 0x4c435633;  // "LCV3" (model-routed)
-
-MsgType check_type(std::uint8_t type) {
-  if (type > static_cast<std::uint8_t>(MsgType::kModelUnavailable)) {
-    throw ParseError("unknown frame type");
-  }
-  return static_cast<MsgType>(type);
-}
+constexpr std::uint32_t kFrameMagic = 0x4c435633;  // "LCV3"
 }  // namespace
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  // The wire carries a 32-bit payload length; a larger payload must be
-  // rejected here, not silently truncated into a self-inconsistent frame.
-  if (frame.payload.size() > UINT32_MAX) {
+  if (frame.payload.size() > kMaxFramePayloadBytes) {
     throw InvalidArgument("frame payload of " +
                           std::to_string(frame.payload.size()) +
-                          " bytes does not fit the u32 length field");
+                          " bytes exceeds the " +
+                          std::to_string(kMaxFramePayloadBytes) +
+                          "-byte frame limit");
   }
   ByteWriter w;
-  if (frame.model_id != 0) {
-    // Only v3 carries a model id; trace_id may legitimately be 0 here.
-    w.write_u32(kFrameMagicV3);
-    w.write_u8(static_cast<std::uint8_t>(frame.type));
-    w.write_u32(frame.model_id);
-    w.write_u64(frame.trace_id);
-  } else if (frame.trace_id == 0) {
-    // Untraced default-model frames stay byte-identical to the v1 wire.
-    w.write_u32(kFrameMagic);
-    w.write_u8(static_cast<std::uint8_t>(frame.type));
-  } else {
-    w.write_u32(kFrameMagicV2);
-    w.write_u8(static_cast<std::uint8_t>(frame.type));
-    w.write_u64(frame.trace_id);
-  }
+  w.write_u32(kFrameMagic);
+  w.write_u8(static_cast<std::uint8_t>(frame.type));
+  w.write_u32(frame.model_id);
+  w.write_u64(frame.trace_id);
   w.write_u32(static_cast<std::uint32_t>(frame.payload.size()));
   w.write_bytes(frame.payload.data(), frame.payload.size());
   return w.take();
 }
 
 Frame decode_frame(const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  const std::uint32_t magic = r.read_u32();
+  if (bytes.size() < kFrameHeaderBytes) throw ParseError("frame truncated");
   Frame f;
-  if (magic == kFrameMagic) {
-    f.type = check_type(r.read_u8());
-  } else if (magic == kFrameMagicV2) {
-    f.type = check_type(r.read_u8());
-    f.trace_id = r.read_u64();
-    if (f.trace_id == 0) throw ParseError("v2 frame with zero trace id");
-  } else if (magic == kFrameMagicV3) {
-    f.type = check_type(r.read_u8());
-    f.model_id = r.read_u32();
-    f.trace_id = r.read_u64();
-    if (f.model_id == 0) throw ParseError("v3 frame with zero model id");
-  } else {
-    throw ParseError("bad frame magic");
-  }
-  const std::uint32_t size = r.read_u32();
+  const std::uint32_t size =
+      parse_frame_header(bytes.data(), &f.type, &f.model_id, &f.trace_id);
   // Validate before allocating: corrupt length fields must not OOM.
-  if (size > r.remaining()) throw ParseError("frame payload truncated");
-  f.payload.resize(size);
-  r.read_bytes(f.payload.data(), size);
-  if (!r.at_end()) throw ParseError("trailing bytes after frame");
+  const std::size_t available = bytes.size() - kFrameHeaderBytes;
+  if (size > available) throw ParseError("frame payload truncated");
+  if (size < available) throw ParseError("trailing bytes after frame");
+  f.payload.assign(bytes.begin() + kFrameHeaderBytes, bytes.end());
   return f;
 }
 
-int frame_header_version(const std::uint8_t* prefix) {
-  ByteReader r(prefix, sizeof(std::uint32_t));
-  const std::uint32_t magic = r.read_u32();
-  if (magic == kFrameMagic) return 1;
-  if (magic == kFrameMagicV2) return 2;
-  if (magic == kFrameMagicV3) return 3;
-  throw ParseError("bad frame magic");
-}
-
-std::uint32_t parse_frame_header(const std::uint8_t* header, MsgType* type) {
+std::uint32_t parse_frame_header(const std::uint8_t* header, MsgType* type,
+                                 std::uint32_t* model_id,
+                                 std::uint64_t* trace_id) {
   ByteReader r(header, kFrameHeaderBytes);
   if (r.read_u32() != kFrameMagic) throw ParseError("bad frame magic");
-  const MsgType t = check_type(r.read_u8());
-  if (type != nullptr) *type = t;
-  return r.read_u32();
-}
-
-std::uint32_t parse_frame_header_v2(const std::uint8_t* header, MsgType* type,
-                                    std::uint64_t* trace_id) {
-  ByteReader r(header, kFrameHeaderBytesV2);
-  if (r.read_u32() != kFrameMagicV2) throw ParseError("bad frame magic");
-  const MsgType t = check_type(r.read_u8());
-  const std::uint64_t id = r.read_u64();
-  if (id == 0) throw ParseError("v2 frame with zero trace id");
-  if (type != nullptr) *type = t;
-  if (trace_id != nullptr) *trace_id = id;
-  return r.read_u32();
-}
-
-std::uint32_t parse_frame_header_v3(const std::uint8_t* header, MsgType* type,
-                                    std::uint32_t* model_id,
-                                    std::uint64_t* trace_id) {
-  ByteReader r(header, kFrameHeaderBytesV3);
-  if (r.read_u32() != kFrameMagicV3) throw ParseError("bad frame magic");
-  const MsgType t = check_type(r.read_u8());
+  const std::uint8_t t = r.read_u8();
+  if (t > static_cast<std::uint8_t>(MsgType::kModelUnavailable)) {
+    throw ParseError("unknown frame type");
+  }
   const std::uint32_t model = r.read_u32();
-  const std::uint64_t id = r.read_u64();
-  if (model == 0) throw ParseError("v3 frame with zero model id");
-  if (type != nullptr) *type = t;
-  if (model_id != nullptr) *model_id = model;
-  if (trace_id != nullptr) *trace_id = id;
-  return r.read_u32();
+  const std::uint64_t trace = r.read_u64();
+  const std::uint32_t size = r.read_u32();
+  if (size > kMaxFramePayloadBytes) {
+    throw ParseError("frame payload exceeds the frame limit");
+  }
+  // Outputs are written only once the whole header has passed.
+  *type = static_cast<MsgType>(t);
+  *model_id = model;
+  *trace_id = trace;
+  return size;
 }
 
 std::vector<std::uint8_t> make_complete_request(const Tensor& shared) {

@@ -1,30 +1,22 @@
 // Wire protocol between the browser client and the edge server.
 //
-// Length-prefixed binary frames over a byte stream. Three header layouts
-// coexist on the wire, distinguished by magic:
+// Length-prefixed binary frames over a byte stream, with one fixed
+// kFrameHeaderBytes-long header:
 //
-//   v1: [u32 magic "LCRF"][u8 type][u32 payload_size][payload]
-//   v2: [u32 magic "LCV2"][u8 type][u64 trace_id][u32 payload_size][payload]
-//   v3: [u32 magic "LCV3"][u8 type][u32 model_id][u64 trace_id]
-//       [u32 payload_size][payload]
+//   [u32 magic "LCV3"][u8 type][u32 model_id][u64 trace_id]
+//   [u32 payload_size][payload]
 //
-// v2 adds an optional 64-bit trace id so one request's client-side and
-// edge-side spans stitch into a single timeline (common/obs/trace.h).
-// v3 adds a 32-bit model id that routes the request to one entry of the
-// server's ModelRegistry (edge/model_registry.h).
+// model_id routes a request to one entry of the server's ModelRegistry
+// (edge/model_registry.h); 0 is the default model. trace_id stitches one
+// request's client-side and edge-side spans into a single timeline
+// (common/obs/trace.h); 0 means untraced. Both are plain fields, so every
+// id pair has exactly one encoding and decode -> encode reproduces any
+// accepted input byte for byte (the fuzzer's round-trip oracle).
 //
-// Encoding is canonical: the smallest header that carries the frame's
-// non-default fields is used. model_id != 0 forces v3 (trace_id may then
-// be 0); otherwise trace_id != 0 selects v2; otherwise v1. Decoding
-// rejects non-canonical frames (v2 with zero trace id, v3 with zero
-// model id), so decode(bytes) -> encode reproduces the input byte-exactly
-// -- the fuzzer's round-trip oracle depends on this. Untraced
-// default-model traffic therefore stays byte-identical to the seed
-// protocol and old peers keep decoding it.
-//
-// All versions share the first 9 bytes' shape ([u32][u8][u32...]), so a
-// streaming receiver reads kFrameHeaderBytes, inspects the magic, and
-// reads the version's remaining header bytes before the payload.
+// A streaming receiver reads kFrameHeaderBytes, calls parse_frame_header
+// (which rejects a payload over kMaxFramePayloadBytes before anything is
+// allocated) and then reads the payload. decode_frame applies the same
+// header check to a whole buffer.
 //
 // Payloads reuse the library's tensor serialization. The same frames are
 // used by the real TCP runtime and by the protocol tests.
@@ -53,50 +45,34 @@ enum class MsgType : std::uint8_t {
 struct Frame {
   MsgType type = MsgType::kPing;
   std::vector<std::uint8_t> payload;
-  /// 0 = untraced; nonzero rides a v2 (or v3) header.
+  /// 0 = untraced.
   std::uint64_t trace_id = 0;
-  /// 0 = default model (v1/v2 header); nonzero rides a v3 header.
+  /// 0 = the server's default model.
   std::uint32_t model_id = 0;
 };
 
-/// Encodes a frame into wire bytes using the smallest canonical header:
-/// v3 when model_id != 0, else v2 when trace_id != 0, else v1.
+/// Frame header size on the wire (magic + type + model id + trace id +
+/// payload length).
+constexpr std::size_t kFrameHeaderBytes = 21;
+
+/// Largest payload a frame may carry. encode_frame refuses to build a
+/// bigger frame and parse_frame_header refuses to accept one, so every
+/// frame a sender can build is one every receiver takes.
+constexpr std::uint32_t kMaxFramePayloadBytes = 64u << 20;
+
+/// Encodes a frame into wire bytes; throws InvalidArgument when the
+/// payload exceeds kMaxFramePayloadBytes.
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
-/// Decodes one frame of any version; throws ParseError on malformed
-/// input. v1 frames decode with trace_id == 0 and model_id == 0.
+/// Decodes exactly one frame; throws ParseError on malformed input.
 Frame decode_frame(const std::vector<std::uint8_t>& bytes);
 
-/// v1 frame header size on the wire (magic + type + length). Also the
-/// common prefix length a streaming receiver reads before it can tell
-/// the versions apart.
-constexpr std::size_t kFrameHeaderBytes = 9;
-
-/// v2 frame header size (magic + type + trace id + length).
-constexpr std::size_t kFrameHeaderBytesV2 = 17;
-
-/// v3 frame header size (magic + type + model id + trace id + length).
-constexpr std::size_t kFrameHeaderBytesV3 = 21;
-
-/// Header version for a kFrameHeaderBytes-long prefix: 1, 2, or 3;
-/// throws ParseError on an unknown magic.
-int frame_header_version(const std::uint8_t* prefix);
-
-/// Parses a v1 header, returning the payload size; throws on bad magic.
-std::uint32_t parse_frame_header(const std::uint8_t* header, MsgType* type);
-
-/// Parses a full v2 header (kFrameHeaderBytesV2 bytes), returning the
-/// payload size and filling `type` / `trace_id` when non-null.
-std::uint32_t parse_frame_header_v2(const std::uint8_t* header, MsgType* type,
-                                    std::uint64_t* trace_id);
-
-/// Parses a full v3 header (kFrameHeaderBytesV3 bytes), returning the
-/// payload size and filling `type` / `model_id` / `trace_id` when
-/// non-null. Rejects model_id == 0 (non-canonical: that frame must have
-/// used a v1/v2 header).
-std::uint32_t parse_frame_header_v3(const std::uint8_t* header, MsgType* type,
-                                    std::uint32_t* model_id,
-                                    std::uint64_t* trace_id);
+/// Parses a kFrameHeaderBytes-long header, filling `type`, `model_id`
+/// and `trace_id` and returning the payload size. Throws ParseError on a
+/// bad magic, an unknown type or a payload over kMaxFramePayloadBytes.
+std::uint32_t parse_frame_header(const std::uint8_t* header, MsgType* type,
+                                 std::uint32_t* model_id,
+                                 std::uint64_t* trace_id);
 
 /// Payload builders / parsers.
 std::vector<std::uint8_t> make_complete_request(const Tensor& shared);

@@ -277,6 +277,9 @@ void EdgeServer::accept_loop() {
         connection_errors_.add();
         LCRS_WARN("edge connection error: " << e.what());
       }
+      // Hang up now rather than when the next accept reaps this thread,
+      // so a peer that sent a bad frame sees EOF instead of silence.
+      conn_ptr->shutdown_now();
       active_connections_.add(-1.0);
       done->store(true);
     });
@@ -309,10 +312,9 @@ void EdgeServer::serve_connection(Socket& conn) {
         conn.send_frame(Frame{MsgType::kPong, {}});
         break;
       case MsgType::kCompleteRequest: {
-        // The trace id minted by BrowserClient rides the v2/v3 frame
-        // header; tagging the server-side spans with it (and echoing it
-        // in the response) is what stitches both halves into one
-        // timeline.
+        // The trace id minted by BrowserClient rides the frame header;
+        // tagging the server-side spans with it (and echoing it in the
+        // response) is what stitches both halves into one timeline.
         const std::uint64_t trace_id = frame->trace_id;
         // Resolve the model snapshot before deserializing: an
         // unroutable request should be rejected for the price of a map

@@ -2,8 +2,8 @@
 //
 // Throughput-oriented serving path. Connection threads only do protocol
 // I/O: every kCompleteRequest resolves its model snapshot from the
-// ModelRegistry (v3 frame header model id; v1/v2 frames route to model
-// 0) and is enqueued on that model's bounded queue, and a shared pool of
+// ModelRegistry (by the frame header's model id; 0 is the default model)
+// and is enqueued on that model's bounded queue, and a shared pool of
 // worker threads drains the queues round-robin, coalescing same-model
 // requests *across connections* into one batched main-branch forward
 // (im2col+GEMM throughput grows strongly with batch size, which is
@@ -117,10 +117,9 @@ class EdgeServer {
              ServerOptions options = ServerOptions());
   EdgeServer(std::uint16_t port, BatchCompletionFn complete,
              ServerOptions options = ServerOptions());
-  /// Multi-model serving: requests route through `registry` by the v3
-  /// frame header's model id (v1/v2 frames route to model 0). The
-  /// registry is shared so an operator thread can hot-swap models while
-  /// the server runs.
+  /// Multi-model serving: requests route through `registry` by the frame
+  /// header's model id (0 is the default model). The registry is shared
+  /// so an operator thread can hot-swap models while the server runs.
   EdgeServer(std::uint16_t port, std::shared_ptr<ModelRegistry> registry,
              ServerOptions options = ServerOptions());
 

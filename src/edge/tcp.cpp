@@ -196,29 +196,11 @@ void Socket::send_frame(const Frame& frame, const Deadline& deadline) const {
 }
 
 std::optional<Frame> Socket::recv_frame(const Deadline& deadline) const {
-  // All header versions share a 9-byte prefix shape; read that, look at
-  // the magic, then pull in the version's extension bytes if present.
-  std::uint8_t header[kFrameHeaderBytesV3];
+  std::uint8_t header[kFrameHeaderBytes];
   if (!recv_all(header, kFrameHeaderBytes, deadline)) return std::nullopt;
   Frame f;
-  std::uint32_t payload_size = 0;
-  const int version = frame_header_version(header);
-  if (version == 1) {
-    payload_size = parse_frame_header(header, &f.type);
-  } else {
-    const std::size_t full =
-        version == 2 ? kFrameHeaderBytesV2 : kFrameHeaderBytesV3;
-    if (!recv_all(header + kFrameHeaderBytes, full - kFrameHeaderBytes,
-                  deadline)) {
-      throw IoError("connection closed mid-header");
-    }
-    payload_size =
-        version == 2
-            ? parse_frame_header_v2(header, &f.type, &f.trace_id)
-            : parse_frame_header_v3(header, &f.type, &f.model_id,
-                                    &f.trace_id);
-  }
-  if (payload_size > (64u << 20)) throw ParseError("frame too large");
+  const std::uint32_t payload_size =
+      parse_frame_header(header, &f.type, &f.model_id, &f.trace_id);
   f.payload.resize(payload_size);
   if (payload_size > 0 &&
       !recv_all(f.payload.data(), payload_size, deadline)) {

@@ -57,138 +57,78 @@ TEST(Protocol, BadMagicAndTypeRejected) {
   EXPECT_THROW(decode_frame(bytes2), ParseError);
 }
 
-TEST(Protocol, TracedFrameRoundTripsV2) {
-  Frame f;
-  f.type = MsgType::kCompleteRequest;
-  f.payload = {7, 8, 9};
-  f.trace_id = 0xdeadbeefcafe0001ull;
-  const auto bytes = encode_frame(f);
-  EXPECT_EQ(bytes.size(), kFrameHeaderBytesV2 + f.payload.size());
-  const Frame back = decode_frame(bytes);
-  EXPECT_EQ(back.type, f.type);
-  EXPECT_EQ(back.payload, f.payload);
-  EXPECT_EQ(back.trace_id, f.trace_id);
+TEST(Protocol, OneLayoutForEveryIdCombination) {
+  // Zero ids (untraced, default model) are ordinary values: every frame
+  // carries the same fixed header and round-trips exactly.
+  for (const std::uint64_t trace_id : {0ull, 0xdeadbeefcafe0001ull}) {
+    for (const std::uint32_t model_id : {0u, 12u}) {
+      const Frame f{MsgType::kCompleteRequest, {7, 8, 9}, trace_id, model_id};
+      const auto bytes = encode_frame(f);
+      EXPECT_EQ(bytes.size(), kFrameHeaderBytes + f.payload.size());
+      const Frame back = decode_frame(bytes);
+      EXPECT_EQ(back.type, f.type);
+      EXPECT_EQ(back.payload, f.payload);
+      EXPECT_EQ(back.trace_id, trace_id);
+      EXPECT_EQ(back.model_id, model_id);
+      EXPECT_EQ(encode_frame(back), bytes);
+    }
+  }
+  EXPECT_EQ(kFrameHeaderBytes, 21u);
 }
 
-TEST(Protocol, UntracedFrameStaysByteIdenticalV1) {
-  // trace_id == 0 must encode to the exact v1 layout: old peers keep
-  // decoding frames from new senders.
-  Frame f;
-  f.type = MsgType::kPing;
-  f.payload = {1, 2};
-  const auto bytes = encode_frame(f);
-  EXPECT_EQ(bytes.size(), kFrameHeaderBytes + f.payload.size());
-  const Frame back = decode_frame(bytes);
-  EXPECT_EQ(back.trace_id, 0u);
-  EXPECT_EQ(back.payload, f.payload);
-}
-
-TEST(Protocol, HeaderVersionDetection) {
-  const auto v1 = encode_frame(Frame{MsgType::kPing, {}});
-  const auto v2 = encode_frame(Frame{MsgType::kPing, {}, 42});
-  const auto v3 = encode_frame(Frame{MsgType::kPing, {}, 42, 7});
-  EXPECT_EQ(frame_header_version(v1.data()), 1);
-  EXPECT_EQ(frame_header_version(v2.data()), 2);
-  EXPECT_EQ(frame_header_version(v3.data()), 3);
-  auto junk = v1;
-  junk[0] ^= 0xFF;
-  EXPECT_THROW(frame_header_version(junk.data()), ParseError);
-}
-
-TEST(Protocol, V2ZeroTraceIdRejected) {
-  // A v2 header exists *because* the frame is traced; zero would alias
-  // "untraced" and break the v1/v2 dispatch invariant.
-  auto bytes = encode_frame(Frame{MsgType::kPong, {5}, 99});
-  for (int i = 0; i < 8; ++i) bytes[5 + i] = 0;  // zero the trace id field
-  EXPECT_THROW(decode_frame(bytes), ParseError);
-}
-
-TEST(Protocol, V1V2GoldenBytesUnchanged) {
-  // Frozen wire bytes from before the v3 header existed: adding the
-  // model id must not perturb a single v1/v2 byte in either direction.
-  const std::vector<std::uint8_t> golden_v1 = {
-      0x46, 0x52, 0x43, 0x4c,  // "LCRF" little-endian
-      0x00,                    // kPing
-      0x00, 0x00, 0x00, 0x00,  // payload size 0
-  };
-  EXPECT_EQ(encode_frame(Frame{MsgType::kPing, {}}), golden_v1);
-  const Frame v1 = decode_frame(golden_v1);
-  EXPECT_EQ(v1.type, MsgType::kPing);
-  EXPECT_EQ(v1.trace_id, 0u);
-  EXPECT_EQ(v1.model_id, 0u);
-
-  const std::vector<std::uint8_t> golden_v2 = {
-      0x32, 0x56, 0x43, 0x4c,                          // "LCV2" LE
+TEST(Protocol, GoldenBytes) {
+  // Frozen wire bytes: any change to the header layout shows up here.
+  const std::vector<std::uint8_t> golden = {
+      0x33, 0x56, 0x43, 0x4c,                          // "LCV3" LE
       0x01,                                            // kPong
+      0x0c, 0x00, 0x00, 0x00,                          // model id LE
       0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // trace id LE
       0x01, 0x00, 0x00, 0x00,                          // payload size 1
       0x09,                                            // payload
   };
-  EXPECT_EQ(encode_frame(Frame{MsgType::kPong, {9}, 0x0102030405060708ull}),
-            golden_v2);
-  const Frame v2 = decode_frame(golden_v2);
-  EXPECT_EQ(v2.type, MsgType::kPong);
-  EXPECT_EQ(v2.trace_id, 0x0102030405060708ull);
-  EXPECT_EQ(v2.model_id, 0u);
+  EXPECT_EQ(encode_frame(Frame{MsgType::kPong, {9}, 0x0102030405060708ull, 12}),
+            golden);
+  const Frame f = decode_frame(golden);
+  EXPECT_EQ(f.type, MsgType::kPong);
+  EXPECT_EQ(f.model_id, 12u);
+  EXPECT_EQ(f.trace_id, 0x0102030405060708ull);
+  EXPECT_EQ(f.payload, std::vector<std::uint8_t>{9});
 }
 
-TEST(Protocol, TaggedFrameRoundTripsV3) {
-  Frame f;
-  f.type = MsgType::kCompleteRequest;
-  f.payload = {7, 8, 9};
-  f.trace_id = 0xdeadbeefcafe0001ull;
-  f.model_id = 12;
-  const auto bytes = encode_frame(f);
-  EXPECT_EQ(bytes.size(), kFrameHeaderBytesV3 + f.payload.size());
-  const Frame back = decode_frame(bytes);
-  EXPECT_EQ(back.type, f.type);
-  EXPECT_EQ(back.payload, f.payload);
-  EXPECT_EQ(back.trace_id, f.trace_id);
-  EXPECT_EQ(back.model_id, f.model_id);
+constexpr std::uint32_t kOldMagicV1 = 0x4c435246;  // "LCRF"
+constexpr std::uint32_t kOldMagicV2 = 0x4c435632;  // "LCV2"
+
+/// A ping in a retired layout: `magic`, the type byte, a zero trace id
+/// for "LCV2" (none for "LCRF"), a payload size and a zero payload sized
+/// so the whole frame fills exactly one current header.
+std::vector<std::uint8_t> old_layout_ping(std::uint32_t magic) {
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < 4; ++i) {
+    bytes.push_back(static_cast<std::uint8_t>(magic >> (8 * i)));
+  }
+  bytes.push_back(0);  // kPing
+  if (magic == kOldMagicV2) bytes.insert(bytes.end(), 8, 0);
+  const std::size_t payload =
+      kFrameHeaderBytes - bytes.size() - sizeof(std::uint32_t);
+  bytes.push_back(static_cast<std::uint8_t>(payload));
+  bytes.insert(bytes.end(), 3 + payload, 0);
+  return bytes;
 }
 
-TEST(Protocol, TaggedUntracedFrameStillUsesV3) {
-  // A model id needs the wide header even when untraced; the reserved
-  // zero trace id is legal in v3 (only v2 forbids it).
-  Frame f;
-  f.type = MsgType::kCompleteRequest;
-  f.payload = {1};
-  f.model_id = 3;
-  const auto bytes = encode_frame(f);
-  EXPECT_EQ(frame_header_version(bytes.data()), 3);
-  const Frame back = decode_frame(bytes);
-  EXPECT_EQ(back.model_id, 3u);
-  EXPECT_EQ(back.trace_id, 0u);
+TEST(Protocol, OldLayoutsRejected) {
+  for (const std::uint32_t magic : {kOldMagicV1, kOldMagicV2}) {
+    const auto bytes = old_layout_ping(magic);
+    EXPECT_THROW(decode_frame(bytes), ParseError) << std::hex << magic;
+    MsgType type{};
+    std::uint32_t model_id = 0;
+    std::uint64_t trace_id = 0;
+    EXPECT_THROW(parse_frame_header(bytes.data(), &type, &model_id, &trace_id),
+                 ParseError);
+  }
 }
 
-TEST(Protocol, DefaultModelEncodesByteIdenticalToV1V2) {
-  // model_id == 0 routes to the default model and must never widen the
-  // header: v2 peers see bit-for-bit what they saw before this header
-  // version existed.
-  Frame traced;
-  traced.type = MsgType::kCompleteResponse;
-  traced.payload = {4, 5};
-  traced.trace_id = 77;
-  const auto with_field = encode_frame(traced);
-  EXPECT_EQ(frame_header_version(with_field.data()), 2);
-  EXPECT_EQ(with_field.size(), kFrameHeaderBytesV2 + traced.payload.size());
-
-  Frame plain;
-  plain.type = MsgType::kPing;
-  plain.payload = {};
-  EXPECT_EQ(frame_header_version(encode_frame(plain).data()), 1);
-}
-
-TEST(Protocol, V3ZeroModelIdRejected) {
-  // A v3 header exists *because* the frame is model-tagged; zero would
-  // alias the default route and break encode/decode canonicality.
-  auto bytes = encode_frame(Frame{MsgType::kPong, {5}, 99, 6});
-  for (int i = 0; i < 4; ++i) bytes[5 + i] = 0;  // zero the model id field
-  EXPECT_THROW(decode_frame(bytes), ParseError);
-}
-
-TEST(Protocol, V3TruncatedHeaderRejected) {
-  const auto bytes = encode_frame(Frame{MsgType::kPing, {}, 0, 6});
+TEST(Protocol, TruncatedFrameRejected) {
+  const auto bytes = encode_frame(Frame{MsgType::kPing, {1}, 0, 6});
   for (std::size_t n = 0; n < bytes.size(); ++n) {
     EXPECT_THROW(
         decode_frame({bytes.begin(),
@@ -196,6 +136,31 @@ TEST(Protocol, V3TruncatedHeaderRejected) {
         ParseError)
         << "prefix " << n;
   }
+}
+
+TEST(Protocol, PayloadBoundSharedByEncodeAndDecode) {
+  auto header_announcing = [](std::uint32_t size) {
+    auto bytes = encode_frame(Frame{MsgType::kCompleteRequest, {}});
+    for (int i = 0; i < 4; ++i) {
+      bytes[kFrameHeaderBytes - 4 + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(size >> (8 * i));
+    }
+    return bytes;
+  };
+  MsgType type{};
+  std::uint32_t model_id = 0;
+  std::uint64_t trace_id = 0;
+  const auto at_limit = header_announcing(kMaxFramePayloadBytes);
+  EXPECT_EQ(parse_frame_header(at_limit.data(), &type, &model_id, &trace_id),
+            kMaxFramePayloadBytes);
+  const auto over = header_announcing(kMaxFramePayloadBytes + 1);
+  EXPECT_THROW(parse_frame_header(over.data(), &type, &model_id, &trace_id),
+               ParseError);
+  EXPECT_THROW(decode_frame(over), ParseError);
+
+  const Frame too_big{MsgType::kCompleteRequest,
+                      std::vector<std::uint8_t>(kMaxFramePayloadBytes + 1)};
+  EXPECT_THROW(encode_frame(too_big), InvalidArgument);
 }
 
 TEST(Protocol, ModelUnavailableRoundTrip) {
@@ -271,6 +236,34 @@ TEST(Tcp, CleanEofReturnsNullopt) {
   Socket client = connect_local(listener.port());
   server.join();
   EXPECT_FALSE(client.recv_frame().has_value());
+}
+
+TEST(Tcp, PartialHeaderThenCloseThrowsIoError) {
+  const auto bytes = encode_frame(Frame{MsgType::kPing, {}, 5, 6});
+  for (std::size_t n = 1; n < kFrameHeaderBytes; ++n) {
+    Listener listener(0);
+    std::thread server([&] {
+      Socket conn = listener.accept_one();
+      conn.send_all(bytes.data(), n);
+    });
+    Socket client = connect_local(listener.port());
+    server.join();
+    EXPECT_THROW(client.recv_frame(), IoError) << n << " header bytes";
+  }
+}
+
+TEST(Tcp, OldLayoutFramesRejectedWithParseError) {
+  for (const std::uint32_t magic : {kOldMagicV1, kOldMagicV2}) {
+    const auto bytes = old_layout_ping(magic);
+    Listener listener(0);
+    std::thread server([&] {
+      Socket conn = listener.accept_one();
+      conn.send_all(bytes.data(), bytes.size());
+    });
+    Socket client = connect_local(listener.port());
+    server.join();
+    EXPECT_THROW(client.recv_frame(), ParseError) << std::hex << magic;
+  }
 }
 
 TEST(Tcp, ConnectToDeadPortThrows) {
@@ -928,6 +921,30 @@ TEST(EdgeServer, ShutdownFrameClosesPeerConnectionsAndStopConverges) {
   const bool stopped = finishes_within([raw] { raw->stop(); }, 5000);
   EXPECT_TRUE(stopped) << "stop() did not converge after kShutdown";
   if (!stopped) (void)server.release();
+}
+
+TEST(EdgeServer, OldLayoutPingClosesOnlyItsConnection) {
+  EdgeServer server(0, [](const Tensor&) {
+    return CompleteResponse{0, Tensor::ones(Shape{1, 2})};
+  });
+  Socket old_peer = connect_local(server.port());
+  const auto bytes = old_layout_ping(kOldMagicV1);
+  old_peer.send_all(bytes.data(), bytes.size(), Deadline::after_ms(3000.0));
+  EXPECT_FALSE(old_peer.recv_frame(Deadline::after_ms(3000.0)).has_value());
+  auto errors = [&] {
+    return counter_value(server.metrics(),
+                         obs::names::kServerConnectionErrors);
+  };
+  for (int i = 0; i < 200 && errors() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(errors(), 1);
+
+  Socket fresh = connect_local(server.port());
+  fresh.send_frame(Frame{MsgType::kPing, {}});
+  const auto reply = fresh.recv_frame(Deadline::after_ms(3000.0));
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, MsgType::kPong);
 }
 
 TEST(EdgeServer, StatsSnapshotTracksCompletions) {

@@ -82,14 +82,14 @@ TEST(Fuzz, ProtocolFrames) {
        400, 22);
 }
 
-TEST(Fuzz, ProtocolFramesV2) {
-  // The traced (v2) header adds a 64-bit trace-id field; mutations there
-  // must be rejected (zero id) or survive benignly -- never crash.
+TEST(Fuzz, ProtocolFramesTracedAndRouted) {
+  // Nonzero model and trace ids: mutations of those header fields must
+  // decode benignly or be rejected -- never crash.
   Rng rng(7);
   const edge::Frame frame{edge::MsgType::kCompleteRequest,
                           edge::make_complete_request(
                               Tensor::randn(Shape{1, 4, 7, 7}, rng)),
-                          0x0123456789abcdefull};
+                          0x0123456789abcdefull, /*model_id=*/3};
   fuzz(edge::encode_frame(frame),
        [](const Bytes& b) {
          const edge::Frame f = edge::decode_frame(b);
