@@ -22,8 +22,8 @@ Tensor Linear::forward(const Tensor& input, bool train) {
   Tensor out{Shape{n, out_}};
   if (!train && wt_fresh_) {
     // Prepared eval path: W^T is cached in row-major [in x out], so the
-    // blocked GEMM's inner loop runs contiguously over output neurons
-    // and each weight tile is reused across every batch row.
+    // GEMM's inner loop runs contiguously over output neurons; a small
+    // batch streams W^T once, a larger one reuses weight tiles per row.
     gemm(input.data(), weight_t_.data(), out.data(), n, in_, out_);
   } else {
     gemm_bt(input.data(), weight_.value.data(), out.data(), n, in_, out_);
