@@ -71,32 +71,6 @@ void BM_FloatGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_FloatGemm)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_FloatGemmPackedA(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  Rng rng(1);
-  const Tensor a = Tensor::randn(Shape{n, n}, rng);
-  const Tensor b = Tensor::randn(Shape{n, n}, rng);
-  const PackedA packed = pack_a_panels(a.data(), n, n);
-  Tensor c{Shape{n, n}};
-  Tensor ref{Shape{n, n}};
-  {
-    simd::ScopedForcedLevel force(simd::Level::kScalar);
-    gemm(a.data(), b.data(), ref.data(), n, n, n);
-  }
-  const float tol = 1e-3f * static_cast<float>(n);
-  for (auto _ : state) {
-    gemm_packed_a(packed, b.data(), c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-    state.PauseTiming();
-    if (!verify(state, c.data(), ref.data(), n * n, tol, "gemm_packed_a")) {
-      return;
-    }
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_FloatGemmPackedA)->Arg(64)->Arg(128)->Arg(256);
-
 void BM_XnorGemm(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   Rng rng(1);
@@ -148,58 +122,64 @@ void BM_BitPack(benchmark::State& state) {
 }
 BENCHMARK(BM_BitPack)->Arg(256);
 
+// Times conv.forward(x, false) on `x`, verifying every output against a
+// forced-scalar reference with the k-scaled float tolerance.
+void time_conv_eval(benchmark::State& state, nn::Conv2d& conv,
+                    const Tensor& x, const char* what) {
+  Tensor ref;
+  {
+    simd::ScopedForcedLevel force(simd::Level::kScalar);
+    ref = conv.forward(x, false);
+  }
+  const float tol = 1e-3f * static_cast<float>(conv.geometry().patch_size());
+  for (auto _ : state) {
+    Tensor y = conv.forward(x, false);
+    benchmark::DoNotOptimize(y.data());
+    state.PauseTiming();
+    if (!verify(state, y.data(), ref.data(), y.numel(), tol, what)) return;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * x.dim(0) *
+                          conv.flops_per_sample());
+}
+
 void BM_FloatConv2d(benchmark::State& state) {
   const std::int64_t channels = state.range(0);
   Rng rng(3);
   nn::Conv2d conv(channels, channels, 3, 1, 1, 32, 32, rng);
-  const Tensor x = Tensor::randn(Shape{1, channels, 32, 32}, rng);
-  Tensor ref;
-  {
-    simd::ScopedForcedLevel force(simd::Level::kScalar);
-    ref = conv.forward(x, false);
-  }
-  const float tol = 1e-3f * static_cast<float>(conv.geometry().patch_size());
-  for (auto _ : state) {
-    Tensor y = conv.forward(x, false);
-    benchmark::DoNotOptimize(y.data());
-    state.PauseTiming();
-    if (!verify(state, y.data(), ref.data(), y.numel(), tol, "conv2d")) {
-      return;
-    }
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * conv.flops_per_sample());
+  time_conv_eval(state, conv, Tensor::randn(Shape{1, channels, 32, 32}, rng),
+                 "conv2d");
 }
 BENCHMARK(BM_FloatConv2d)->Arg(32)->Arg(64)->Arg(128);
 
-// The serving-path shape: prepared (panel-packed) conv over a coalesced
-// batch, the configuration the edge batcher runs after PR-6.
-void BM_FloatConv2dPreparedBatch(benchmark::State& state) {
+// The serving-path shape: eval conv over a coalesced batch, the
+// configuration the edge batcher runs (one im2col + gemm per sample).
+void BM_FloatConv2dBatch(benchmark::State& state) {
   const std::int64_t batch = state.range(0);
   Rng rng(3);
   nn::Conv2d conv(6, 16, 5, 1, 0, 12, 12, rng);  // LeNet conv2 geometry
-  conv.prepare_inference();
-  const Tensor x = Tensor::randn(Shape{batch, 6, 12, 12}, rng);
-  Tensor ref;
-  {
-    simd::ScopedForcedLevel force(simd::Level::kScalar);
-    ref = conv.forward(x, false);
-  }
-  const float tol = 1e-3f * static_cast<float>(conv.geometry().patch_size());
-  for (auto _ : state) {
-    Tensor y = conv.forward(x, false);
-    benchmark::DoNotOptimize(y.data());
-    state.PauseTiming();
-    if (!verify(state, y.data(), ref.data(), y.numel(), tol,
-                "prepared conv2d")) {
-      return;
-    }
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * batch *
-                          conv.flops_per_sample());
+  time_conv_eval(state, conv, Tensor::randn(Shape{batch, 6, 12, 12}, rng),
+                 "batched conv2d");
 }
-BENCHMARK(BM_FloatConv2dPreparedBatch)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_FloatConv2dBatch)->Arg(1)->Arg(4)->Arg(16);
+
+// The edge's main-rest convolutions for AlexNet at width 0.5 on 32x32
+// input (models/zoo.cpp), one frame each: args are {in_c, out_c, h=w},
+// all 3x3/stride 1/pad 1, so the gemm products (out_c x patch x pixels)
+// are 96x288x256, 192x864x64, 128x1728x64 and 128x1152x64.
+void BM_FloatConv2dEval(benchmark::State& state) {
+  const std::int64_t in_c = state.range(0), out_c = state.range(1);
+  const std::int64_t hw = state.range(2);
+  Rng rng(6);
+  nn::Conv2d conv(in_c, out_c, 3, 1, 1, hw, hw, rng);
+  time_conv_eval(state, conv, Tensor::randn(Shape{1, in_c, hw, hw}, rng),
+                 "eval conv2d");
+}
+BENCHMARK(BM_FloatConv2dEval)
+    ->Args({32, 96, 16})
+    ->Args({96, 192, 8})
+    ->Args({192, 128, 8})
+    ->Args({128, 128, 8});
 
 // The edge's prepared fully-connected layers: gemm over the cached W^T.
 // At AVX2, batches below 4 take the small-batch streaming path, larger

@@ -5,8 +5,6 @@
 // Oracles (all bit-exact -- lowering only moves floats, never computes):
 //   * im2col == the naive gather for every (row, pixel) tap;
 //   * im2col_rows is exactly the transpose of im2col;
-//   * im2col_batch over n copies == n independent im2col calls (the
-//     coalesced-batch serving path);
 //   * col2im is the exact adjoint on integer-valued inputs: scattering
 //     all-ones columns counts how many taps read each input pixel.
 #include <cstring>
@@ -82,29 +80,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                       cols[static_cast<std::size_t>(r * pixels + p)],
                   "im2col_rows is not the transpose of im2col");
     }
-  }
-
-  // Batched lowering over two copies of the image plus a perturbed third.
-  const std::int64_t batch = 3;
-  std::vector<float> input(static_cast<std::size_t>(batch * image_size));
-  for (std::int64_t s = 0; s < batch; ++s) {
-    for (std::int64_t i = 0; i < image_size; ++i) {
-      input[static_cast<std::size_t>(s * image_size + i)] =
-          image[static_cast<std::size_t>(i)] +
-          static_cast<float>(s == 2 ? 1 : 0);
-    }
-  }
-  std::vector<float> batch_cols(
-      static_cast<std::size_t>(batch * patch * pixels), -777.0f);
-  im2col_batch(input.data(), batch, g, batch_cols.data(), pad_value);
-  for (std::int64_t s = 0; s < batch; ++s) {
-    std::vector<float> one(static_cast<std::size_t>(patch * pixels),
-                           -777.0f);
-    im2col(input.data() + s * image_size, g, one.data(), pad_value);
-    FUZZ_ASSERT(std::memcmp(one.data(),
-                            batch_cols.data() + s * patch * pixels,
-                            one.size() * sizeof(float)) == 0,
-                "im2col_batch diverges from per-sample im2col");
   }
 
   // Adjoint: scattering all-ones columns must count, per input pixel,

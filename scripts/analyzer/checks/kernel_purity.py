@@ -18,7 +18,7 @@ Two obligations:
          funneled through throw_check_failure -- is sanctioned).
 
      Entry points that allocate by design (output tensors, prepare-time
-     panel packing, hoisted per-call scratch) are suppressed in
+     weight packing, hoisted per-call scratch) are suppressed in
      scripts/analyzer/suppressions.txt with the reason recorded; the
      check's job is that a *new* allocation or lock cannot appear in a
      kernel silently.

@@ -2,7 +2,6 @@
 
 #include "binary/binary_conv2d.h"
 #include "binary/binary_linear.h"
-#include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "tensor/tensor_ops.h"
 
@@ -102,8 +101,6 @@ void CompositeNetwork::prepare_edge_inference() {
   for (std::size_t i = 0; i < main_rest_->size(); ++i) {
     if (auto* fc = dynamic_cast<nn::Linear*>(&main_rest_->layer(i))) {
       fc->prepare_inference();
-    } else if (auto* conv = dynamic_cast<nn::Conv2d*>(&main_rest_->layer(i))) {
-      conv->prepare_inference();
     }
   }
 }

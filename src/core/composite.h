@@ -56,12 +56,12 @@ class CompositeNetwork {
   /// Packs every binary layer for the XNOR fast path.
   void prepare_browser_inference();
 
-  /// Packs every Linear (transposed-weight eval GEMM) and Conv2d
-  /// (panel-packed weight GEMM + batched im2col) in the main rest so
-  /// serving-time completions skip all per-call weight preparation. Call
-  /// before serving edge completions (main_branch_batch_completion does
-  /// this); training invalidates the packs per-layer, so re-prepare
-  /// afterwards.
+  /// Caches W^T for every Linear in the main rest (the transposed-weight
+  /// eval GEMM) so serving-time completions skip the per-call weight
+  /// transpose. Conv2d needs no preparation: its forward runs the
+  /// weights in place. Call before serving edge completions
+  /// (main_branch_batch_completion does this); training invalidates the
+  /// caches per-layer, so re-prepare afterwards.
   void prepare_edge_inference();
 
   nn::Sequential& shared_stage() { return *shared_; }

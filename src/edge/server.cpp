@@ -31,11 +31,10 @@ BatchCompletionFn per_sample_batch(CompletionFn per_sample) {
 }
 
 BatchCompletionFn main_branch_batch_completion(core::CompositeNetwork& net) {
-  // Pack the main-rest weights up front: Linear gets the transposed
+  // Prepare the main-rest weights up front: Linear gets the transposed
   // layout (a batch of k requests streams each weight matrix once
-  // instead of k times), Conv2d gets panel-packed GEMM weights plus the
-  // batched-im2col eval path. Done here (single-threaded, before any
-  // worker runs) so eval forwards stay lock-free.
+  // instead of k times). Done here (single-threaded, before any worker
+  // runs) so eval forwards stay lock-free.
   net.prepare_edge_inference();
   return [&net](const Tensor& batch) {
     const core::MainBatchCompletion done =

@@ -2,7 +2,6 @@
 #pragma once
 
 #include "nn/layer.h"
-#include "tensor/gemm.h"
 #include "tensor/im2col.h"
 
 namespace lcrs::nn {
@@ -33,14 +32,6 @@ class Conv2d : public Layer {
     return Shape{n, out_c_, geom_.out_h(), geom_.out_w()};
   }
 
-  /// Packs the [out_c x patch] weight matrix into GEMM panels so eval
-  /// forwards skip the per-call weight traversal and run the prepared
-  /// kernel over a batch-wide lowered block. Mirrors
-  /// Linear::prepare_inference(): call once after training settles;
-  /// backward() invalidates the panels (optimizer steps follow).
-  void prepare_inference();
-  bool inference_prepared() const { return packed_fresh_; }
-
  private:
   ConvGeom geom_;
   std::int64_t out_c_;
@@ -48,8 +39,6 @@ class Conv2d : public Layer {
   Param weight_;
   Param bias_;
   Tensor cached_input_;  // saved in forward(train) for the backward pass
-  PackedA packed_weight_;      // panel-packed W, valid while packed_fresh_
-  bool packed_fresh_ = false;  // cleared by backward()
 };
 
 }  // namespace lcrs::nn

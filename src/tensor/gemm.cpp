@@ -488,214 +488,6 @@ void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
   }
 }
 
-PackedA pack_a_panels(const float* a, std::int64_t m, std::int64_t k) {
-  LCRS_CHECK(m >= 0 && k >= 0, "pack_a_panels negative dims");
-  PackedA p;
-  p.m = m;
-  p.k = k;
-  const std::int64_t panels = p.panel_count();
-  p.panels.assign(
-      static_cast<std::size_t>(panels * k * PackedA::kPanelRows), 0.0f);
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t panel = i / PackedA::kPanelRows;
-    const std::int64_t r = i % PackedA::kPanelRows;
-    const float* src = a + i * k;
-    float* dst = p.panels.data() + panel * k * PackedA::kPanelRows;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      dst[kk * PackedA::kPanelRows + r] = src[kk];
-    }
-  }
-  return p;
-}
-
-namespace {
-
-// Panel microkernels: C rows [r0, r0+rows) over all n columns from one
-// zero state, ascending k. `pan` is the panel base (k-major quads).
-
-void panel_rows_scalar(const float* pan, const float* b, float* c,
-                       std::int64_t k, std::int64_t n, std::int64_t rows) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float* crow = c + r * n;
-    std::memset(crow, 0, static_cast<std::size_t>(n) * sizeof(float));
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = pan[kk * PackedA::kPanelRows + r];
-      if (av == 0.0f) continue;
-      const float* brow = b + kk * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
-#if LCRS_SIMD_COMPILED_AVX2
-
-void panel_rows_avx2(const float* pan, const float* b, float* c,
-                     std::int64_t k, std::int64_t n, std::int64_t rows) {
-  std::int64_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    __m256 x00 = _mm256_setzero_ps(), x01 = _mm256_setzero_ps();
-    __m256 x10 = _mm256_setzero_ps(), x11 = _mm256_setzero_ps();
-    __m256 x20 = _mm256_setzero_ps(), x21 = _mm256_setzero_ps();
-    __m256 x30 = _mm256_setzero_ps(), x31 = _mm256_setzero_ps();
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float* quad = pan + kk * PackedA::kPanelRows;
-      const float* brow = b + kk * n + j;
-      const __m256 b0 = _mm256_loadu_ps(brow);
-      const __m256 b1 = _mm256_loadu_ps(brow + 8);
-      __m256 av = _mm256_broadcast_ss(quad);
-      x00 = madd8(av, b0, x00);
-      x01 = madd8(av, b1, x01);
-      av = _mm256_broadcast_ss(quad + 1);
-      x10 = madd8(av, b0, x10);
-      x11 = madd8(av, b1, x11);
-      av = _mm256_broadcast_ss(quad + 2);
-      x20 = madd8(av, b0, x20);
-      x21 = madd8(av, b1, x21);
-      av = _mm256_broadcast_ss(quad + 3);
-      x30 = madd8(av, b0, x30);
-      x31 = madd8(av, b1, x31);
-    }
-    // Padded panel rows compute garbage-free zeros; only real rows land.
-    if (rows > 0) {
-      _mm256_storeu_ps(c + j, x00);
-      _mm256_storeu_ps(c + j + 8, x01);
-    }
-    if (rows > 1) {
-      _mm256_storeu_ps(c + n + j, x10);
-      _mm256_storeu_ps(c + n + j + 8, x11);
-    }
-    if (rows > 2) {
-      _mm256_storeu_ps(c + 2 * n + j, x20);
-      _mm256_storeu_ps(c + 2 * n + j + 8, x21);
-    }
-    if (rows > 3) {
-      _mm256_storeu_ps(c + 3 * n + j, x30);
-      _mm256_storeu_ps(c + 3 * n + j + 8, x31);
-    }
-  }
-  for (; j + 8 <= n; j += 8) {
-    __m256 x0 = _mm256_setzero_ps(), x1 = _mm256_setzero_ps();
-    __m256 x2 = _mm256_setzero_ps(), x3 = _mm256_setzero_ps();
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float* quad = pan + kk * PackedA::kPanelRows;
-      const __m256 bv = _mm256_loadu_ps(b + kk * n + j);
-      x0 = madd8(_mm256_broadcast_ss(quad), bv, x0);
-      x1 = madd8(_mm256_broadcast_ss(quad + 1), bv, x1);
-      x2 = madd8(_mm256_broadcast_ss(quad + 2), bv, x2);
-      x3 = madd8(_mm256_broadcast_ss(quad + 3), bv, x3);
-    }
-    if (rows > 0) _mm256_storeu_ps(c + j, x0);
-    if (rows > 1) _mm256_storeu_ps(c + n + j, x1);
-    if (rows > 2) _mm256_storeu_ps(c + 2 * n + j, x2);
-    if (rows > 3) _mm256_storeu_ps(c + 3 * n + j, x3);
-  }
-  for (; j < n; ++j) {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float acc = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        acc += pan[kk * PackedA::kPanelRows + r] * b[kk * n + j];
-      }
-      c[r * n + j] = acc;
-    }
-  }
-}
-
-#endif  // LCRS_SIMD_COMPILED_AVX2
-
-#if LCRS_SIMD_COMPILED_SSE
-
-void panel_rows_sse(const float* pan, const float* b, float* c,
-                    std::int64_t k, std::int64_t n, std::int64_t rows) {
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    __m128 x00 = _mm_setzero_ps(), x01 = _mm_setzero_ps();
-    __m128 x10 = _mm_setzero_ps(), x11 = _mm_setzero_ps();
-    __m128 x20 = _mm_setzero_ps(), x21 = _mm_setzero_ps();
-    __m128 x30 = _mm_setzero_ps(), x31 = _mm_setzero_ps();
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float* quad = pan + kk * PackedA::kPanelRows;
-      const float* brow = b + kk * n + j;
-      const __m128 b0 = _mm_loadu_ps(brow);
-      const __m128 b1 = _mm_loadu_ps(brow + 4);
-      __m128 av = _mm_set1_ps(quad[0]);
-      x00 = _mm_add_ps(x00, _mm_mul_ps(av, b0));
-      x01 = _mm_add_ps(x01, _mm_mul_ps(av, b1));
-      av = _mm_set1_ps(quad[1]);
-      x10 = _mm_add_ps(x10, _mm_mul_ps(av, b0));
-      x11 = _mm_add_ps(x11, _mm_mul_ps(av, b1));
-      av = _mm_set1_ps(quad[2]);
-      x20 = _mm_add_ps(x20, _mm_mul_ps(av, b0));
-      x21 = _mm_add_ps(x21, _mm_mul_ps(av, b1));
-      av = _mm_set1_ps(quad[3]);
-      x30 = _mm_add_ps(x30, _mm_mul_ps(av, b0));
-      x31 = _mm_add_ps(x31, _mm_mul_ps(av, b1));
-    }
-    if (rows > 0) {
-      _mm_storeu_ps(c + j, x00);
-      _mm_storeu_ps(c + j + 4, x01);
-    }
-    if (rows > 1) {
-      _mm_storeu_ps(c + n + j, x10);
-      _mm_storeu_ps(c + n + j + 4, x11);
-    }
-    if (rows > 2) {
-      _mm_storeu_ps(c + 2 * n + j, x20);
-      _mm_storeu_ps(c + 2 * n + j + 4, x21);
-    }
-    if (rows > 3) {
-      _mm_storeu_ps(c + 3 * n + j, x30);
-      _mm_storeu_ps(c + 3 * n + j + 4, x31);
-    }
-  }
-  for (; j < n; ++j) {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float acc = 0.0f;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        acc += pan[kk * PackedA::kPanelRows + r] * b[kk * n + j];
-      }
-      c[r * n + j] = acc;
-    }
-  }
-}
-
-#endif  // LCRS_SIMD_COMPILED_SSE
-
-using PanelKernel = void (*)(const float*, const float*, float*,
-                             std::int64_t, std::int64_t, std::int64_t);
-
-PanelKernel select_panel_kernel() {
-  const simd::Level level = simd::active_level();
-#if LCRS_SIMD_COMPILED_AVX2
-  if (level == simd::Level::kAvx2) return panel_rows_avx2;
-#endif
-#if LCRS_SIMD_COMPILED_SSE
-  if (level == simd::Level::kSse) return panel_rows_sse;
-#endif
-  // No NEON variant yet: kNeon falls back to scalar for this kernel
-  // (per-kernel fallback is part of the dispatch contract).
-  (void)level;
-  return panel_rows_scalar;
-}
-
-}  // namespace
-
-void gemm_packed_a(const PackedA& a, const float* b, float* c,
-                   std::int64_t n) {
-  LCRS_CHECK(n >= 0, "gemm_packed_a negative n");
-  if (a.m == 0 || n == 0) return;
-  const PanelKernel kernel = select_panel_kernel();
-  const std::int64_t panels = a.panel_count();
-  parallel_for(panels, [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t p = p0; p < p1; ++p) {
-      const std::int64_t r0 = p * PackedA::kPanelRows;
-      const std::int64_t rows =
-          std::min<std::int64_t>(PackedA::kPanelRows, a.m - r0);
-      kernel(a.panels.data() + p * a.k * PackedA::kPanelRows, b, c + r0 * n,
-             a.k, n, rows);
-    }
-  });
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
   LCRS_CHECK(a.rank() == 2 && b.rank() == 2, "matmul expects rank-2 tensors");
   LCRS_CHECK(a.dim(1) == b.dim(0), "matmul inner dims mismatch: "

@@ -6,13 +6,15 @@
 // dispatched at runtime (common/simd.h: AVX2/SSE with a scalar
 // fallback); `gemm_naive` is the oracle the tests compare against.
 //
-// Parity contract: every variant of `gemm`/`gemm_packed_a` computes each
-// output element as one ascending-k accumulation chain, so results are
-// row-pure (row i of a batched multiply is bit-identical to the same row
-// multiplied alone) at every dispatch level, for finite B (see the
-// small-batch path below). Across levels the chains agree up to
-// FMA-vs-mul+add rounding; tests bound the difference with a k-scaled ULP
-// tolerance (see DESIGN.md "SIMD kernel layer").
+// Parity contract: every variant of `gemm` computes each output element
+// as one ascending-k accumulation chain, so results are row-pure (row i
+// of a batched multiply is bit-identical to the same row multiplied
+// alone) at every dispatch level, for finite B (see the small-batch path
+// below). The float convolution (`conv2d`, tensor/tensor_ops.h) is one
+// `gemm` per sample, so its batch rows inherit the same purity. Across
+// levels the chains agree up to FMA-vs-mul+add rounding; tests bound the
+// difference with a k-scaled ULP tolerance (see DESIGN.md "SIMD kernel
+// layer").
 //
 // Small-batch path: at the AVX2 level, below 4 rows and for B at least
 // 32 columns wide (the measured crossovers), `gemm` streams B instead of
@@ -37,7 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -59,34 +60,6 @@ void gemm_bt(const float* a, const float* b, float* c, std::int64_t m,
 /// Reference triple loop; used by tests as ground truth.
 void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n, float beta = 0.0f);
-
-/// Panel-packed left operand for the prepared serving GEMM
-/// (Conv2d::prepare_inference() packs the [out_c x patch] weight matrix
-/// once; every completion then reuses the panels). Rows are grouped in
-/// panels of kPanelRows and stored k-major within the panel --
-/// panels[(p * k + kk) * kPanelRows + r] == a[(p * kPanelRows + r) * k
-/// + kk] -- so the microkernel's per-k broadcasts of a panel's row
-/// values read one contiguous quad instead of kPanelRows cache lines.
-/// The last panel's missing rows are zero-padded.
-struct PackedA {
-  static constexpr std::int64_t kPanelRows = 4;
-
-  std::int64_t m = 0, k = 0;
-  std::vector<float> panels;
-
-  bool empty() const { return m == 0; }
-  std::int64_t panel_count() const {
-    return (m + kPanelRows - 1) / kPanelRows;
-  }
-};
-
-PackedA pack_a_panels(const float* a, std::int64_t m, std::int64_t k);
-
-/// C[m x n] = packed_a * B[k x n], overwriting C. Same ascending-k
-/// accumulation chain per output as `gemm` (row-pure at any batch size);
-/// the packed layout only changes how the weights are *read*.
-void gemm_packed_a(const PackedA& a, const float* b, float* c,
-                   std::int64_t n);
 
 /// Convenience wrappers on Tensor (rank-2 operands).
 Tensor matmul(const Tensor& a, const Tensor& b);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/parallel.h"
-
 namespace lcrs {
 
 void ConvGeom::validate() const {
@@ -78,18 +76,6 @@ void im2col(const float* image, const ConvGeom& g, float* cols,
       }
     }
   }
-}
-
-void im2col_batch(const float* input, std::int64_t n, const ConvGeom& g,
-                  float* cols, float pad_value) {
-  LCRS_CHECK(n >= 0, "im2col_batch negative batch size");
-  const std::int64_t image_size = g.in_c * g.in_h * g.in_w;
-  const std::int64_t block = g.patch_size() * g.out_h() * g.out_w();
-  parallel_for(n, [&](std::int64_t s0, std::int64_t s1) {
-    for (std::int64_t s = s0; s < s1; ++s) {
-      im2col(input + s * image_size, g, cols + s * block, pad_value);
-    }
-  });
 }
 
 void im2col_rows(const float* image, const ConvGeom& g, float* rows,

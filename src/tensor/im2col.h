@@ -33,15 +33,6 @@ struct ConvGeom {
 void im2col(const float* image, const ConvGeom& g, float* cols,
             float pad_value = 0.0f);
 
-/// Lowers `n` images stored back to back (`input` = n * C*H*W floats)
-/// into per-sample [patch_size x out_pixels] blocks of `cols`, sample s
-/// at offset s * patch_size * out_pixels. One call amortizes the
-/// geometry setup and parallelizes across the whole coalesced batch
-/// instead of per image -- the batched edge completion path uses this to
-/// lower every queued request in one pass before the prepared GEMM.
-void im2col_batch(const float* input, std::int64_t n, const ConvGeom& g,
-                  float* cols, float pad_value = 0.0f);
-
 /// Transposed lowering: `rows` gets [out_pixels x patch_size], row =
 /// output pixel, col = (c, kh, kw). The pixel-major layout makes each
 /// patch contiguous, which is what the fused binarize+bitpack consumes

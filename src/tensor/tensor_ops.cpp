@@ -5,6 +5,9 @@
 #include <cstring>
 #include <limits>
 
+#include "common/parallel.h"
+#include "tensor/gemm.h"
+
 namespace lcrs {
 
 namespace {
@@ -212,6 +215,43 @@ Tensor max_pool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) {
       }
     }
   }
+  return out;
+}
+
+Tensor conv2d(const Tensor& x, const ConvGeom& g, const Tensor& weight,
+              const Tensor* bias) {
+  LCRS_CHECK(x.rank() == 4 && x.dim(1) == g.in_c && x.dim(2) == g.in_h &&
+                 x.dim(3) == g.in_w,
+             "conv2d input mismatch: " << x.shape().to_string());
+  const std::int64_t patch = g.patch_size();
+  LCRS_CHECK(weight.rank() == 4 && weight.dim(0) > 0 &&
+                 weight.numel() == weight.dim(0) * patch,
+             "conv2d weight " << weight.shape().to_string()
+                              << " does not match patch size " << patch);
+  const std::int64_t out_c = weight.dim(0);
+  LCRS_CHECK(bias == nullptr || bias->numel() == out_c,
+             "conv2d bias has " << bias->numel() << " values for " << out_c
+                                << " output channels");
+  const std::int64_t n = x.dim(0);
+  const std::int64_t pixels = g.out_h() * g.out_w();
+  const std::int64_t in_image = g.in_c * g.in_h * g.in_w;
+
+  Tensor out{Shape{n, out_c, g.out_h(), g.out_w()}};
+  parallel_for(n, [&](std::int64_t b0, std::int64_t b1) {
+    std::vector<float> cols(static_cast<std::size_t>(patch * pixels));
+    for (std::int64_t b = b0; b < b1; ++b) {
+      float* obase = out.data() + b * out_c * pixels;
+      im2col(x.data() + b * in_image, g, cols.data());
+      // out[b] = W[out_c x patch] * cols[patch x pixels]
+      gemm(weight.data(), cols.data(), obase, out_c, patch, pixels);
+      if (bias == nullptr) continue;
+      for (std::int64_t oc = 0; oc < out_c; ++oc) {
+        const float bv = bias->data()[oc];
+        float* orow = obase + oc * pixels;
+        for (std::int64_t p = 0; p < pixels; ++p) orow[p] += bv;
+      }
+    }
+  });
   return out;
 }
 

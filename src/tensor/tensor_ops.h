@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/im2col.h"
 #include "tensor/tensor.h"
 
 namespace lcrs {
@@ -64,6 +65,15 @@ Tensor hard_tanh(const Tensor& a);
 /// in row-major window order, so NaN never wins. Shared by
 /// nn::MaxPool2d's eval path and the webinfer maxpool op.
 Tensor max_pool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride);
+
+/// Float 2-D convolution of an NCHW batch `x` laid out as `g`. `weight`
+/// is [out_c, in_c, k, k]; `bias` is [out_c] or null. Each sample is
+/// one im2col then one `gemm` with the [out_c x patch] weight matrix,
+/// then the bias add, and parallel_for fans the samples out. A batch row
+/// is therefore bit-identical to the same sample convolved alone. The
+/// one float conv kernel behind nn::Conv2d and the webinfer conv op.
+Tensor conv2d(const Tensor& x, const ConvGeom& g, const Tensor& weight,
+              const Tensor* bias);
 
 /// L1 norm (sum of |x|).
 double l1_norm(const Tensor& a);

@@ -30,28 +30,7 @@ Tensor run_conv(const Conv2dOp& op, const Tensor& x) {
   LCRS_CHECK(x.rank() == 4 && x.dim(1) == g.in_c && x.dim(2) == g.in_h &&
                  x.dim(3) == g.in_w,
              "conv op input mismatch: " << x.shape().to_string());
-  const std::int64_t n = x.dim(0);
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  const std::int64_t pixels = oh * ow;
-  const std::int64_t patch = g.patch_size();
-  const std::int64_t in_image = g.in_c * g.in_h * g.in_w;
-
-  Tensor out{Shape{n, op.out_c, oh, ow}};
-  std::vector<float> cols(static_cast<std::size_t>(patch * pixels));
-  for (std::int64_t b = 0; b < n; ++b) {
-    im2col(x.data() + b * in_image, g, cols.data());
-    gemm(op.weight.data(), cols.data(), out.data() + b * op.out_c * pixels,
-         op.out_c, patch, pixels);
-    if (op.has_bias) {
-      float* obase = out.data() + b * op.out_c * pixels;
-      for (std::int64_t oc = 0; oc < op.out_c; ++oc) {
-        const float bv = op.bias[oc];
-        float* orow = obase + oc * pixels;
-        for (std::int64_t p = 0; p < pixels; ++p) orow[p] += bv;
-      }
-    }
-  }
-  return out;
+  return conv2d(x, g, op.weight, op.has_bias ? &op.bias : nullptr);
 }
 
 Tensor run_linear(const LinearOp& op, const Tensor& x) {

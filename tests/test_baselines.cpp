@@ -120,7 +120,7 @@ TEST(Edgent, EvaluationIncludesBranchOverhead) {
   EXPECT_GT(edgent.browser_model_bytes, neuro.browser_model_bytes);
 }
 
-TEST(Lcrs, BrowserModelIsPackedAndSmall) {
+TEST(Lcrs, BrowserModelIsSmallAndPacked) {
   const LcrsModel m = make_lcrs_model(models::Arch::kAlexNet, 0.8);
   std::int64_t float_branch = 0;
   for (const auto& l : m.branch) float_branch += l.param_bytes;

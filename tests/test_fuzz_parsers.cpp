@@ -219,8 +219,8 @@ INSTANTIATE_TEST_SUITE_P(Fuzz, CrasherCorpus,
                          testing::Values("tensor_serialize", "frame_parser",
                                          "model_blob", "checkpoint",
                                          "model_bundle"),
-                         [](const auto& info) {
-                           return std::string(info.param);
+                         [](const auto& param_info) {
+                           return std::string(param_info.param);
                          });
 
 TEST(Fuzz, Checkpoints) {

@@ -194,72 +194,6 @@ TEST(GemmSmallBatch, EveryBatchSizeMatchesBatchOfEightRowForRow) {
   }
 }
 
-TEST_P(GemmShapes, PackedAMatchesNaive) {
-  const auto [m, k, n] = GetParam();
-  Rng rng(m * 7001 + k * 53 + n * 29);
-  const auto a = random_matrix(m * k, rng);
-  const auto b = random_matrix(k * n, rng);
-  const PackedA packed = pack_a_panels(a.data(), m, k);
-  EXPECT_EQ(packed.m, m);
-  EXPECT_EQ(packed.k, k);
-  std::vector<float> c(static_cast<std::size_t>(m * n), 99.0f);
-  std::vector<float> ref(static_cast<std::size_t>(m * n), 0.0f);
-  gemm_packed_a(packed, b.data(), c.data(), n);
-  gemm_naive(a.data(), b.data(), ref.data(), m, k, n);
-  expect_near_all(c, ref, 1e-3f * static_cast<float>(k));
-}
-
-TEST_P(GemmShapes, PackedAAllDispatchLevelsMatchForcedScalar) {
-  const auto [m, k, n] = GetParam();
-  Rng rng(m * 131 + k * 37 + n * 3);
-  const auto a = random_matrix(m * k, rng);
-  const auto b = random_matrix(k * n, rng);
-  const PackedA packed = pack_a_panels(a.data(), m, k);
-  std::vector<float> c_scalar(static_cast<std::size_t>(m * n), 0.0f);
-  {
-    simd::ScopedForcedLevel force(simd::Level::kScalar);
-    gemm_packed_a(packed, b.data(), c_scalar.data(), n);
-  }
-  for (const simd::Level level : testable_levels()) {
-    simd::ScopedForcedLevel force(level);
-    std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
-    gemm_packed_a(packed, b.data(), c.data(), n);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      ASSERT_NEAR(c[i], c_scalar[i], 1e-3f * static_cast<float>(k))
-          << "level " << simd::level_name(level) << " index " << i;
-    }
-  }
-}
-
-// Panel rows beyond m are zero padding; every non-multiple-of-4 m must
-// still produce exactly m rows of output and never read or write past
-// them. The canary values around C catch stray panel-row stores.
-TEST(GemmPackedA, RaggedPanelRowsDoNotOverrunOutput) {
-  Rng rng(0xcafe);
-  const std::int64_t k = 33, n = 19;
-  for (const std::int64_t m : {1, 2, 3, 5, 6, 7, 65}) {
-    const auto a = random_matrix(m * k, rng);
-    const auto b = random_matrix(k * n, rng);
-    std::vector<float> guarded(static_cast<std::size_t>((m + 2) * n),
-                               -777.0f);
-    float* c = guarded.data() + n;  // one canary row before and after
-    const PackedA packed = pack_a_panels(a.data(), m, k);
-    gemm_packed_a(packed, b.data(), c, n);
-    std::vector<float> ref(static_cast<std::size_t>(m * n), 0.0f);
-    gemm_naive(a.data(), b.data(), ref.data(), m, k, n);
-    for (std::int64_t i = 0; i < m * n; ++i) {
-      ASSERT_NEAR(c[i], ref[i], 1e-3f * static_cast<float>(k))
-          << "m=" << m << " index " << i;
-    }
-    for (std::int64_t j = 0; j < n; ++j) {
-      ASSERT_EQ(guarded[static_cast<std::size_t>(j)], -777.0f)
-          << "m=" << m << ": kernel wrote before row 0";
-      ASSERT_EQ(guarded[static_cast<std::size_t>((m + 1) * n + j)], -777.0f)
-          << "m=" << m << ": padded panel row leaked past row m-1";
-    }
-  }
-}
-
 TEST(Matmul, TensorWrapper) {
   Rng rng(9);
   const Tensor a = Tensor::randn(Shape{4, 6}, rng);

@@ -7,7 +7,7 @@
 //   * xnor kernels: bit-packed forward_fast vs the reference float-sign
 //     forward across random geometries -- exactly equal, not almost.
 //   * row independence: forward(batch)[i] == forward(row_i) for binary
-//     layers, the prepared Linear and Conv2d, the full main branch
+//     layers, the prepared Linear, Conv2d, the full main branch
 //     (unprepared and prepared), and complete_main_batch.
 //   * stack_outer/slice_outer are exact inverses, so the server's
 //     stack -> forward -> slice round trip cannot perturb a value.
@@ -138,9 +138,8 @@ TEST(PropertyBatch, MainBranchBatchForwardIsRowIndependent) {
   // The exact property the edge batcher stands on: one [k,...] forward
   // of the main rest equals k separate [1,...] forwards, bitwise. Checked
   // unprepared and then after the serving preparation the edge server
-  // applies (cached Linear transposes, packed Conv2d panels, batched
-  // im2col), whose Linear layers switch between the small-batch and the
-  // tiled GEMM across these batch sizes.
+  // applies (cached Linear transposes), whose Linear layers switch
+  // between the small-batch and the tiled GEMM across these batch sizes.
   Rng rng(11005);
   core::CompositeNetwork net = make_net(rng);
   for (const bool prepared : {false, true}) {
@@ -236,55 +235,50 @@ TEST(PropertyBatch, PreparedLinearBatchRowsMatchSingleSampleExactly) {
   }
 }
 
-// --- Prepared (panel-packed) Conv2d serving path ---
+// --- Conv2d (shared float conv kernel) ---
 
-TEST(PropertyBatch, PreparedConvBatchRowsMatchSingleSampleExactly) {
-  // The prepared path computes each output as one ascending-k chain per
-  // (weight row, patch), independent of how many samples share the call
-  // -- so batch row i must be BIT-identical to serving sample i alone.
+TEST(PropertyBatch, ConvBatchRowsMatchSingleSampleExactly) {
+  // Conv2d::forward runs one gemm per sample, so batch row i must be
+  // BIT-identical to serving sample i alone, at every dispatch level.
+  // out_c < 4 with at least 32 output pixels crosses gemm's AVX2
+  // small-batch path; out_c >= 4 the tiled kernel with ragged rows.
+  struct Geom {
+    std::int64_t in_c, out_c, kernel, stride, pad, h, w;
+  };
+  std::vector<Geom> geoms{{1, 1, 3, 1, 1, 8, 8},   {3, 3, 5, 1, 2, 12, 12},
+                          {2, 2, 3, 2, 0, 9, 9},   {4, 7, 3, 1, 0, 10, 10},
+                          {2, 16, 1, 1, 0, 6, 6}};
   Rng rng(11007);
   for (int trial = 0; trial < 6; ++trial) {
-    const std::int64_t in_c = rng.randint(1, 4);
-    const std::int64_t out_c = rng.randint(1, 7);
     const std::int64_t kernel = rng.randint(1, 4);
-    const std::int64_t stride = rng.randint(1, 2);
-    const std::int64_t pad = rng.randint(0, 2);
-    const std::int64_t h = kernel + rng.randint(1, 8);
-    const std::int64_t w = kernel + rng.randint(1, 8);
+    geoms.push_back({rng.randint(1, 4), rng.randint(1, 7), kernel,
+                     rng.randint(1, 2), rng.randint(0, 2),
+                     kernel + rng.randint(1, 8), kernel + rng.randint(1, 8)});
+  }
+  for (const Geom& g : geoms) {
+    nn::Conv2d conv(g.in_c, g.out_c, g.kernel, g.stride, g.pad, g.h, g.w,
+                    rng);
+    conv.bias_param().value = Tensor::randn(Shape{g.out_c}, rng);
     const std::int64_t n = rng.randint(2, 6);
-    nn::Conv2d conv(in_c, out_c, kernel, stride, pad, h, w, rng);
-    conv.prepare_inference();
-    ASSERT_TRUE(conv.inference_prepared());
-    const Tensor x = Tensor::randn(Shape{n, in_c, h, w}, rng);
-    const Tensor batched = conv.forward(x, /*train=*/false);
-    for (std::int64_t i = 0; i < n; ++i) {
-      const Tensor solo = conv.forward(x.slice_outer(i, i + 1), false);
-      EXPECT_EQ(max_abs_diff(batched.slice_outer(i, i + 1), solo), 0.0f)
-          << "trial " << trial << " row " << i;
+    const Tensor x = Tensor::randn(Shape{n, g.in_c, g.h, g.w}, rng);
+    for (const simd::Level level : testable_levels()) {
+      simd::ScopedForcedLevel force(level);
+      const Tensor batched = conv.forward(x, /*train=*/false);
+      for (std::int64_t i = 0; i < n; ++i) {
+        const Tensor solo = conv.forward(x.slice_outer(i, i + 1), false);
+        EXPECT_EQ(max_abs_diff(batched.slice_outer(i, i + 1), solo), 0.0f)
+            << simd::level_name(level) << " in_c=" << g.in_c
+            << " out_c=" << g.out_c << " k=" << g.kernel
+            << " s=" << g.stride << " p=" << g.pad << " h=" << g.h
+            << " w=" << g.w << " row " << i;
+      }
     }
   }
 }
 
-TEST(PropertyBatch, PreparedConvMatchesUnpreparedWithinTolerance) {
-  // Prepared and unprepared forwards run different kernels (panel GEMM
-  // vs blocked GEMM); both are single ascending-k chains, so they agree
-  // to the documented k-scaled cross-kernel tolerance.
-  Rng rng(11008);
-  nn::Conv2d conv(3, 8, 5, 1, 2, 12, 12, rng);
-  const Tensor x = Tensor::randn(Shape{4, 3, 12, 12}, rng);
-  const Tensor unprepared = conv.forward(x, /*train=*/false);
-  conv.prepare_inference();
-  const Tensor prepared = conv.forward(x, /*train=*/false);
-  ASSERT_TRUE(unprepared.same_shape(prepared));
-  const float tol =
-      1e-3f * static_cast<float>(conv.geometry().patch_size());
-  EXPECT_LT(max_abs_diff(unprepared, prepared), tol);
-}
-
-TEST(PropertyBatch, PreparedConvForcedScalarMatchesNativeWithinTolerance) {
+TEST(PropertyBatch, ConvForcedScalarMatchesNativeWithinTolerance) {
   Rng rng(11009);
   nn::Conv2d conv(2, 6, 3, 1, 1, 10, 10, rng);
-  conv.prepare_inference();
   const Tensor x = Tensor::randn(Shape{3, 2, 10, 10}, rng);
   const Tensor native = conv.forward(x, /*train=*/false);
   Tensor scalar;
@@ -295,19 +289,6 @@ TEST(PropertyBatch, PreparedConvForcedScalarMatchesNativeWithinTolerance) {
   const float tol =
       1e-3f * static_cast<float>(conv.geometry().patch_size());
   EXPECT_LT(max_abs_diff(native, scalar), tol);
-}
-
-TEST(PropertyBatch, BackwardInvalidatesPreparedConvPanels) {
-  // An optimizer step after backward moves the weights; a stale panel
-  // pack would silently serve the old network. backward() must drop it.
-  Rng rng(11010);
-  nn::Conv2d conv(1, 4, 3, 1, 1, 8, 8, rng);
-  conv.prepare_inference();
-  ASSERT_TRUE(conv.inference_prepared());
-  const Tensor x = Tensor::randn(Shape{2, 1, 8, 8}, rng);
-  const Tensor y = conv.forward(x, /*train=*/true);
-  (void)conv.backward(Tensor::ones(y.shape()));
-  EXPECT_FALSE(conv.inference_prepared());
 }
 
 // --- Dispatched tanh kernel (common/simd_math.h) ---

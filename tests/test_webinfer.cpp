@@ -7,12 +7,14 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/simd.h"
 #include "core/composite.h"
 #include "core/joint_trainer.h"
 #include "data/synthetic.h"
 #include "nn/activations.h"
+#include "nn/conv2d.h"
 #include "nn/pooling.h"
 #include "tensor/tensor_ops.h"
 #include "webinfer/engine.h"
@@ -228,6 +230,66 @@ TEST(Engine, ActivationAndMaxPoolOpsMatchNnLayersBitForBit) {
         single_op_engine(MaxPoolOp{k, s}, x.shape()).forward_shared(x),
         pool.forward(x, false));
   }
+}
+
+// The browser's conv op and nn::Conv2d's eval forward share one kernel,
+// so the engine must reproduce the layer bit for bit at every dispatch
+// level, batch size and bias setting. out_c = 2 over 36 output pixels
+// crosses gemm's AVX2 small-batch path; out_c = 5 the tiled kernel.
+TEST(Engine, ConvOpMatchesNnConv2dBitForBit) {
+  Rng rng(9);
+  std::vector<simd::Level> levels{simd::Level::kScalar};
+  for (const simd::Level l :
+       {simd::Level::kSse, simd::Level::kAvx2, simd::Level::kNeon}) {
+    if (simd::level_available(l)) levels.push_back(l);
+  }
+  struct Geom {
+    std::int64_t in_c, out_c, kernel, stride, pad, h, w;
+  };
+  for (const Geom& g : {Geom{3, 5, 3, 1, 1, 9, 11},
+                        Geom{2, 2, 5, 2, 2, 12, 12}}) {
+    for (const bool bias : {true, false}) {
+      nn::Conv2d conv(g.in_c, g.out_c, g.kernel, g.stride, g.pad, g.h, g.w,
+                      rng, bias);
+      conv.bias_param().value = Tensor::randn(Shape{g.out_c}, rng);
+      Conv2dOp op;
+      op.geom = conv.geometry();
+      op.out_c = g.out_c;
+      op.has_bias = bias;
+      op.weight = conv.weight().value;
+      op.bias = conv.bias_param().value;
+      const Engine engine = single_op_engine(
+          std::move(op), Shape{1, g.in_c, g.h, g.w});
+      for (const std::int64_t n : {1, 3}) {
+        const Tensor x = Tensor::randn(Shape{n, g.in_c, g.h, g.w}, rng);
+        for (const simd::Level level : levels) {
+          SCOPED_TRACE(std::string(simd::level_name(level)) + " out_c " +
+                       std::to_string(g.out_c) + " bias " +
+                       std::to_string(bias) + " batch " + std::to_string(n));
+          simd::ScopedForcedLevel force(level);
+          expect_bit_equal(engine.forward_shared(x), conv.forward(x, false));
+        }
+      }
+    }
+  }
+}
+
+// A blob's conv weight and bias come from outside the program; a
+// tensor smaller than out_c x patch must be rejected, not read past.
+TEST(Engine, ConvOpRejectsWeightOrBiasThatDoesNotMatchGeometry) {
+  Conv2dOp op;
+  op.geom = ConvGeom{2, 6, 6, 3, 1, 1};
+  op.out_c = 4;
+  op.weight = Tensor{Shape{4, 1, 3, 3}};  // in_c 1, geometry says 2
+  op.bias = Tensor{Shape{4}};
+  const Tensor x{Shape{1, 2, 6, 6}};
+  EXPECT_THROW(single_op_engine(op, x.shape()).forward_shared(x), Error);
+  op.weight = Tensor{Shape{4, 2, 3, 3}};
+  op.bias = Tensor{Shape{3}};
+  EXPECT_THROW(single_op_engine(op, x.shape()).forward_shared(x), Error);
+  op.bias = Tensor{Shape{4}};
+  EXPECT_EQ(single_op_engine(op, x.shape()).forward_shared(x).shape(),
+            (Shape{1, 4, 6, 6}));
 }
 
 TEST(Engine, MaxPoolOpRejectsWindowLargerThanInput) {
