@@ -251,17 +251,19 @@ void BM_BinaryConv2dXnor(benchmark::State& state) {
   const std::int64_t channels = state.range(0);
   Rng rng(4);
   binary::BinaryConv2d conv(channels, channels, 3, 1, 1, 32, 32, rng);
-  conv.prepare_inference();
+  const binary::PackedFilters packed =
+      binary::pack_filters(conv.weight().value);
   const Tensor x = Tensor::randn(Shape{1, channels, 32, 32}, rng);
-  // The strongest gate available: forward_fast must reproduce the
-  // float-sign reference path bit for bit (the PR-2 exactness property).
+  // The strongest gate available: the XNOR kernel on the packed weights
+  // must reproduce the layer's float-sign forward bit for bit.
   const Tensor ref = conv.forward(x, false);
   for (auto _ : state) {
-    Tensor y = conv.forward_fast(x);
+    Tensor y = binary::xnor_conv2d(x, conv.geometry(), packed.bits,
+                                   packed.alpha);
     benchmark::DoNotOptimize(y.data());
     state.PauseTiming();
     if (!verify(state, y.data(), ref.data(), y.numel(), 0.0f,
-                "xnor conv fast path")) {
+                "xnor conv")) {
       return;
     }
     state.ResumeTiming();

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -325,6 +326,20 @@ void gen_model_blob() {
     Bytes trailing = blob;
     trailing.push_back(0xAA);
     emit("model_blob", "crasher-trailing-byte", trailing);
+  }
+  {  // a LinearOp whose weight is shorter than out x in: the engine's gemm
+     // would read past it, so the parser must refuse it
+    webinfer::LinearOp op;
+    op.in = 8;
+    op.out = 4;
+    op.weight = Tensor{Shape{4, 7}};
+    op.bias = Tensor{Shape{4}};
+    webinfer::WebModel m;
+    m.in_c = 8;
+    m.in_h = m.in_w = 1;
+    m.num_classes = 4;
+    m.ops = {webinfer::FlattenOp{}, std::move(op)};
+    emit("model_blob", "crasher-short-linear-weight", webinfer::serialize(m));
   }
 }
 

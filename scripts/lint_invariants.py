@@ -151,7 +151,7 @@ SIMD_EXEMPT_FILES = {
 }
 
 # Inference-path bodies the tensor-index-hot rule scans: forward,
-# forward_fast, forward_shared, ..., and the webinfer run_* op kernels.
+# forward_shared, forward_branch, ..., and the webinfer run_* op kernels.
 HOT_FUNC = re.compile(r"(?:^|::)(?:forward\w*|run_\w+)$")
 HOT_DIRS = ("src/nn/", "src/binary/", "src/webinfer/")
 # Tensor-typed parameter or local declaration: captures the name.

@@ -1,6 +1,7 @@
 #include "binary/binarize.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 
@@ -24,6 +25,12 @@ BinarizedFilters binarize_filters(const Tensor& w) {
     result.alpha[f] = static_cast<float>(l1 / static_cast<double>(per_filter));
   }
   return result;
+}
+
+PackedFilters pack_filters(const Tensor& w) {
+  LCRS_CHECK(w.rank() >= 2, "pack_filters expects rank >= 2");
+  BinarizedFilters bin = binarize_filters(w);
+  return {BitMatrix::pack(bin.sign), std::move(bin.alpha)};
 }
 
 Tensor ste_clip(const Tensor& grad, const Tensor& x) {

@@ -7,6 +7,7 @@
 // paper's Eq. 6 transform.
 #pragma once
 
+#include "binary/bitmatrix.h"
 #include "tensor/tensor.h"
 
 namespace lcrs::binary {
@@ -21,6 +22,18 @@ struct BinarizedFilters {
 
 /// Binarizes along the outermost dimension of `w` (one filter per row).
 BinarizedFilters binarize_filters(const Tensor& w);
+
+/// sign(W) bit-packed one filter per row, with the same alpha: the
+/// weights a binary layer ships in the browser blob and xnor_conv2d /
+/// xnor_linear run.
+struct PackedFilters {
+  BitMatrix bits;  // [out x elements per filter]
+  Tensor alpha;    // [out]
+};
+
+/// Packs `w` for the XNOR kernels. A pure function of the weights:
+/// callers pack again after the weights change.
+PackedFilters pack_filters(const Tensor& w);
 
 /// Straight-through estimator of d sign(x)/dx: 1 when |x| <= 1 else 0
 /// (Eq. 5). Applied elementwise: out[i] = grad[i] * 1_{|x[i]| <= 1}.

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "binary/input_scale.h"
-#include "binary/xnor_gemm.h"
 #include "common/parallel.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
@@ -63,7 +62,6 @@ Tensor BinaryConv2d::reference_forward(const Tensor& input, bool train) {
     cached_sign_input_ = sign_input;
     cached_K_ = k;
     cached_bin_ = std::move(bin);
-    packed_.reset();  // weights will change; invalidate the fast path
   }
   return out;
 }
@@ -120,31 +118,6 @@ std::int64_t BinaryConv2d::flops_per_sample() const {
   // Equivalent MAC work of the convolution; the cost model divides by the
   // binary speedup factor when pricing devices.
   return 2 * out_c_ * geom_.patch_size() * geom_.out_h() * geom_.out_w();
-}
-
-void BinaryConv2d::prepare_inference() {
-  BinarizedFilters bin = binarize_filters(weight_.value);
-  const std::int64_t patch = geom_.patch_size();
-  packed_ = Packed{
-      BitMatrix::pack(bin.sign.data(), out_c_, patch),
-      std::move(bin.alpha),
-  };
-}
-
-Tensor BinaryConv2d::forward_fast(const Tensor& input) const {
-  LCRS_CHECK(packed_.has_value(),
-             "forward_fast requires prepare_inference()");
-  return xnor_conv2d(input, geom_, packed_->weight_bits, packed_->alpha);
-}
-
-const BitMatrix& BinaryConv2d::packed_weight_bits() const {
-  LCRS_CHECK(packed_.has_value(), "packed access before prepare_inference");
-  return packed_->weight_bits;
-}
-
-const Tensor& BinaryConv2d::packed_alpha() const {
-  LCRS_CHECK(packed_.has_value(), "packed access before prepare_inference");
-  return packed_->alpha;
 }
 
 std::int64_t BinaryConv2d::binary_weight_bytes() const {

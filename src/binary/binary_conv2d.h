@@ -3,15 +3,12 @@
 // Training keeps full-precision master weights; the forward pass uses
 // alpha * sign(W) on sign(I) with the spatial scale K, and the backward
 // pass uses the straight-through estimator (Eq. 5) plus the Eq. 6 weight
-// gradient. Inference can run the exact same arithmetic through bit-packed
-// XNOR/popcount kernels (prepare_inference + forward_fast), which is what
-// the browser library ships.
+// gradient. The layer holds no packed weights: export packs them with
+// pack_filters, and the browser runs the same arithmetic bit for bit
+// through xnor_conv2d.
 #pragma once
 
-#include <optional>
-
 #include "binary/binarize.h"
-#include "binary/bitmatrix.h"
 #include "nn/layer.h"
 #include "tensor/im2col.h"
 
@@ -33,22 +30,9 @@ class BinaryConv2d : public nn::Layer {
   std::int64_t out_channels() const { return out_c_; }
   nn::Param& weight() { return weight_; }
 
-  /// Packs the current weights for the XNOR fast path. Must be re-run
-  /// after any optimizer step before calling forward_fast.
-  void prepare_inference();
-  bool inference_ready() const { return packed_.has_value(); }
-
-  /// Bit-packed inference forward; numerically identical to forward()
-  /// (sign dot products are exact small integers in float).
-  Tensor forward_fast(const Tensor& input) const;
-
   /// Bytes of the binary weight payload (bits + per-filter alphas) -- the
   /// browser-side model size Tables I / Fig. 7 account.
   std::int64_t binary_weight_bytes() const;
-
-  /// Packed weights for export (requires inference_ready()).
-  const BitMatrix& packed_weight_bits() const;
-  const Tensor& packed_alpha() const;
 
  private:
   Tensor reference_forward(const Tensor& input, bool train);
@@ -56,12 +40,6 @@ class BinaryConv2d : public nn::Layer {
   ConvGeom geom_;
   std::int64_t out_c_;
   nn::Param weight_;  // full-precision master weights [out_c, in_c, k, k]
-
-  struct Packed {
-    BitMatrix weight_bits;  // [out_c x patch]
-    Tensor alpha;           // [out_c]
-  };
-  std::optional<Packed> packed_;
 
   // Training caches.
   Tensor cached_input_;

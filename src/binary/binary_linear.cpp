@@ -1,7 +1,6 @@
 #include "binary/binary_linear.h"
 
 #include "binary/input_scale.h"
-#include "binary/xnor_gemm.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
@@ -43,7 +42,6 @@ Tensor BinaryLinear::forward(const Tensor& input, bool train) {
     cached_sign_input_ = sign_input;
     cached_beta_ = beta;
     cached_bin_ = std::move(bin);
-    packed_.reset();
   }
   return out;
 }
@@ -87,29 +85,6 @@ std::vector<nn::Param*> BinaryLinear::params() {
   std::vector<nn::Param*> ps{&weight_};
   if (has_bias_) ps.push_back(&bias_);
   return ps;
-}
-
-void BinaryLinear::prepare_inference() {
-  BinarizedFilters bin = binarize_filters(weight_.value);
-  packed_ = Packed{BitMatrix::pack(bin.sign.data(), out_, in_),
-                   std::move(bin.alpha)};
-}
-
-Tensor BinaryLinear::forward_fast(const Tensor& input) const {
-  LCRS_CHECK(packed_.has_value(),
-             "forward_fast requires prepare_inference()");
-  return xnor_linear(input, packed_->weight_bits, packed_->alpha,
-                     has_bias_ ? &bias_.value : nullptr);
-}
-
-const BitMatrix& BinaryLinear::packed_weight_bits() const {
-  LCRS_CHECK(packed_.has_value(), "packed access before prepare_inference");
-  return packed_->weight_bits;
-}
-
-const Tensor& BinaryLinear::packed_alpha() const {
-  LCRS_CHECK(packed_.has_value(), "packed access before prepare_inference");
-  return packed_->alpha;
 }
 
 std::int64_t BinaryLinear::binary_weight_bytes() const {

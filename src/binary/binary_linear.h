@@ -2,14 +2,12 @@
 //
 // FC analogue of BinaryConv2d: y = (sign(x) . sign(W)^T) * beta * alpha
 // with beta the per-sample input magnitude and alpha the per-neuron weight
-// magnitude, plus an optional full-precision bias. Same STE/Eq. 6 backward
-// and the same bit-packed fast path.
+// magnitude, plus an optional full-precision bias. Same STE/Eq. 6 backward;
+// export packs the weights with pack_filters for xnor_linear, which
+// reproduces forward() bit for bit.
 #pragma once
 
-#include <optional>
-
 #include "binary/binarize.h"
-#include "binary/bitmatrix.h"
 #include "nn/layer.h"
 
 namespace lcrs::binary {
@@ -31,15 +29,7 @@ class BinaryLinear : public nn::Layer {
   nn::Param& weight() { return weight_; }
   bool has_bias() const { return has_bias_; }
 
-  void prepare_inference();
-  bool inference_ready() const { return packed_.has_value(); }
-  Tensor forward_fast(const Tensor& input) const;
-
   std::int64_t binary_weight_bytes() const;
-
-  /// Packed weights for export (requires inference_ready()).
-  const BitMatrix& packed_weight_bits() const;
-  const Tensor& packed_alpha() const;
   const Tensor& bias_values() const { return bias_.value; }
 
  private:
@@ -47,12 +37,6 @@ class BinaryLinear : public nn::Layer {
   bool has_bias_;
   nn::Param weight_;  // [out x in] master weights
   nn::Param bias_;
-
-  struct Packed {
-    BitMatrix weight_bits;  // [out x in]
-    Tensor alpha;           // [out]
-  };
-  std::optional<Packed> packed_;
 
   Tensor cached_input_;
   Tensor cached_sign_input_;

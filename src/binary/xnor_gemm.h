@@ -21,14 +21,15 @@ Tensor xnor_matmul(const BitMatrix& a, const BitMatrix& b);
 
 /// Complete binary convolution forward through the XNOR path: packs the
 /// input signs per output pixel, multiplies against pre-packed weight
-/// bits [out_c x patch], and applies the K * alpha scaling of Eq. 4.
-/// Numerically identical to the reference float-sign path. Shared by
-/// BinaryConv2d::forward_fast and the browser engine.
+/// bits [out_c x patch] (pack_filters), and applies the K * alpha
+/// scaling of Eq. 4. Numerically identical to BinaryConv2d's float-sign
+/// forward. The browser engine's binary conv op.
 Tensor xnor_conv2d(const Tensor& input, const ConvGeom& geom,
                    const BitMatrix& weight_bits, const Tensor& alpha);
 
 /// Binary fully-connected forward through the XNOR path; `bias` may be
-/// null. weight_bits is [out x in].
+/// null. weight_bits is [out x in] (pack_filters). Numerically identical
+/// to BinaryLinear's float-sign forward.
 Tensor xnor_linear(const Tensor& input, const BitMatrix& weight_bits,
                    const Tensor& alpha, const Tensor* bias);
 

@@ -17,9 +17,14 @@ namespace {
 
 std::atomic<int> g_threads{0};  // 0 = auto
 
+// Read once: glibc answers hardware_concurrency() by reading sysfs, a few
+// microseconds that every parallel_for would otherwise pay.
 int hardware_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  static const int n = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }();
+  return n;
 }
 
 using Fn = std::function<void(std::int64_t, std::int64_t)>;

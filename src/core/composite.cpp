@@ -1,7 +1,5 @@
 #include "core/composite.h"
 
-#include "binary/binary_conv2d.h"
-#include "binary/binary_linear.h"
 #include "nn/linear.h"
 #include "tensor/tensor_ops.h"
 
@@ -84,17 +82,6 @@ void CompositeNetwork::zero_grad() {
   shared_->zero_grad();
   main_rest_->zero_grad();
   binary_->zero_grad();
-}
-
-void CompositeNetwork::prepare_browser_inference() {
-  for (std::size_t i = 0; i < binary_->size(); ++i) {
-    nn::Layer& layer = binary_->layer(i);
-    if (auto* bc = dynamic_cast<binary::BinaryConv2d*>(&layer)) {
-      bc->prepare_inference();
-    } else if (auto* bl = dynamic_cast<binary::BinaryLinear*>(&layer)) {
-      bl->prepare_inference();
-    }
-  }
 }
 
 void CompositeNetwork::prepare_edge_inference() {

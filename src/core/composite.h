@@ -53,9 +53,6 @@ class CompositeNetwork {
   std::vector<nn::Param*> main_params();
   std::vector<nn::Param*> binary_params();
 
-  /// Packs every binary layer for the XNOR fast path.
-  void prepare_browser_inference();
-
   /// Caches W^T for every Linear in the main rest (the transposed-weight
   /// eval GEMM) so serving-time completions skip the per-call weight
   /// transpose. Conv2d needs no preparation: its forward runs the

@@ -1,6 +1,7 @@
 #include "webinfer/export.h"
 
 #include <cmath>
+#include <utility>
 
 #include "binary/binary_conv2d.h"
 #include "binary/binary_linear.h"
@@ -28,13 +29,12 @@ void export_layer(nn::Layer& layer, std::vector<Op>& ops) {
     return;
   }
   if (auto* bconv = dynamic_cast<binary::BinaryConv2d*>(&layer)) {
-    LCRS_CHECK(bconv->inference_ready(),
-               "binary conv not packed before export");
+    binary::PackedFilters packed = binary::pack_filters(bconv->weight().value);
     BinaryConv2dOp op;
     op.geom = bconv->geometry();
     op.out_c = bconv->out_channels();
-    op.weight_bits = bconv->packed_weight_bits();
-    op.alpha = bconv->packed_alpha();
+    op.weight_bits = std::move(packed.bits);
+    op.alpha = std::move(packed.alpha);
     ops.push_back(std::move(op));
     return;
   }
@@ -49,14 +49,13 @@ void export_layer(nn::Layer& layer, std::vector<Op>& ops) {
     return;
   }
   if (auto* blin = dynamic_cast<binary::BinaryLinear*>(&layer)) {
-    LCRS_CHECK(blin->inference_ready(),
-               "binary linear not packed before export");
+    binary::PackedFilters packed = binary::pack_filters(blin->weight().value);
     BinaryLinearOp op;
     op.in = blin->in_features();
     op.out = blin->out_features();
     op.has_bias = blin->has_bias();
-    op.weight_bits = blin->packed_weight_bits();
-    op.alpha = blin->packed_alpha();
+    op.weight_bits = std::move(packed.bits);
+    op.alpha = std::move(packed.alpha);
     op.bias = op.has_bias ? blin->bias_values() : Tensor{Shape{op.out}};
     ops.push_back(std::move(op));
     return;
@@ -109,7 +108,6 @@ void export_layer(nn::Layer& layer, std::vector<Op>& ops) {
 
 WebModel export_browser_model(core::CompositeNetwork& net, std::int64_t in_c,
                               std::int64_t in_h, std::int64_t in_w) {
-  net.prepare_browser_inference();
   WebModel m;
   m.in_c = in_c;
   m.in_h = in_h;

@@ -127,6 +127,11 @@ Op read_op(ByteReader& r) {
       op.has_bias = r.read_u8() != 0;
       op.weight = read_tensor(r);
       op.bias = read_tensor(r);
+      // The engine's gemm reads out * in weights through a raw pointer.
+      if (op.weight.shape() != Shape{op.out, op.in} ||
+          op.bias.shape() != Shape{op.out}) {
+        throw ParseError("linear op weight or bias mismatches in/out");
+      }
       return op;
     }
     case OpTag::kBinaryLinear: {

@@ -1,16 +1,19 @@
 // Binary layer tests: the Eq. 4 reference forward, exact parity of the
-// bit-packed fast path, STE-gated backward behaviour, and training
-// effectiveness of the full binary stack.
+// XNOR kernels run on pack_filters(weight), STE-gated backward behaviour,
+// and training effectiveness of the full binary stack.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "binary/binary_conv2d.h"
 #include "common/numerics.h"
 #include "binary/binary_linear.h"
 #include "binary/binarize.h"
 #include "binary/input_scale.h"
+#include "binary/xnor_gemm.h"
+#include "common/simd.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/linear.h"
@@ -54,18 +57,32 @@ struct ParityCase {
 
 class BinaryConvParity : public ::testing::TestWithParam<ParityCase> {};
 
-TEST_P(BinaryConvParity, FastPathIsBitExact) {
+// Every SIMD level the running host can execute, scalar first.
+std::vector<simd::Level> testable_levels() {
+  std::vector<simd::Level> levels{simd::Level::kScalar};
+  for (const simd::Level l :
+       {simd::Level::kSse, simd::Level::kAvx2, simd::Level::kNeon}) {
+    if (simd::level_available(l)) levels.push_back(l);
+  }
+  return levels;
+}
+
+TEST_P(BinaryConvParity, XnorKernelIsBitExact) {
   const ParityCase p = GetParam();
   Rng rng(p.in_c * 100 + p.out_c);
   BinaryConv2d conv(p.in_c, p.out_c, p.kernel, p.stride, p.pad, p.hw, p.hw,
                     rng);
   const Tensor x = Tensor::randn(Shape{2, p.in_c, p.hw, p.hw}, rng);
-  const Tensor ref = conv.forward(x, false);
-  conv.prepare_inference();
-  const Tensor fast = conv.forward_fast(x);
-  // Sign dot products are small exact integers; scaling is identical
-  // float math, so parity is exact.
-  EXPECT_EQ(max_abs_diff(ref, fast), 0.0f);
+  const PackedFilters packed = pack_filters(conv.weight().value);
+  for (const simd::Level level : testable_levels()) {
+    simd::ScopedForcedLevel force(level);
+    const Tensor ref = conv.forward(x, false);
+    const Tensor fast =
+        xnor_conv2d(x, conv.geometry(), packed.bits, packed.alpha);
+    // Sign dot products are small exact integers; scaling is identical
+    // float math, so parity is exact.
+    EXPECT_EQ(max_abs_diff(ref, fast), 0.0f) << simd::level_name(level);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -75,23 +92,6 @@ INSTANTIATE_TEST_SUITE_P(
                       ParityCase{4, 6, 5, 1, 2, 12},
                       ParityCase{8, 16, 3, 2, 1, 16},
                       ParityCase{2, 3, 3, 1, 0, 9}));
-
-TEST(BinaryConv, FastPathRequiresPreparation) {
-  Rng rng(2);
-  BinaryConv2d conv(1, 2, 3, 1, 1, 8, 8, rng);
-  EXPECT_THROW(conv.forward_fast(Tensor{Shape{1, 1, 8, 8}}), Error);
-  conv.prepare_inference();
-  EXPECT_NO_THROW(conv.forward_fast(Tensor{Shape{1, 1, 8, 8}}));
-}
-
-TEST(BinaryConv, TrainingInvalidatesPackedWeights) {
-  Rng rng(3);
-  BinaryConv2d conv(1, 2, 3, 1, 1, 8, 8, rng);
-  conv.prepare_inference();
-  EXPECT_TRUE(conv.inference_ready());
-  conv.forward(Tensor{Shape{1, 1, 8, 8}}, /*train=*/true);
-  EXPECT_FALSE(conv.inference_ready());
-}
 
 TEST(BinaryConv, BackwardGatesInputGradBySte) {
   Rng rng(4);
@@ -135,13 +135,20 @@ TEST(BinaryConv, WeightBytesRoughly32xSmaller) {
   EXPECT_LT(float_bytes, bin_bytes * 40);
 }
 
-TEST(BinaryLinear, FastPathIsBitExact) {
+TEST(BinaryLinear, XnorKernelIsBitExact) {
   Rng rng(6);
   BinaryLinear lin(130, 17, rng);
+  lin.params()[1]->value = Tensor::randn(Shape{17}, rng);  // the bias
   const Tensor x = Tensor::randn(Shape{4, 130}, rng);
-  const Tensor ref = lin.forward(x, false);
-  lin.prepare_inference();
-  EXPECT_EQ(max_abs_diff(ref, lin.forward_fast(x)), 0.0f);
+  const PackedFilters packed = pack_filters(lin.weight().value);
+  for (const simd::Level level : testable_levels()) {
+    simd::ScopedForcedLevel force(level);
+    EXPECT_EQ(max_abs_diff(lin.forward(x, false),
+                           xnor_linear(x, packed.bits, packed.alpha,
+                                       &lin.bias_values())),
+              0.0f)
+        << simd::level_name(level);
+  }
 }
 
 TEST(BinaryLinear, BiasStaysFullPrecision) {

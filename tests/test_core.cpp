@@ -13,6 +13,7 @@
 #include "core/joint_trainer.h"
 #include "data/synthetic.h"
 #include "tensor/tensor_ops.h"
+#include "webinfer/export.h"
 
 namespace lcrs::core {
 namespace {
@@ -128,13 +129,13 @@ TEST(Composite, MainFromSharedMatchesFullForward) {
   EXPECT_LT(max_abs_diff(out.main_logits, main2), 1e-5f);
 }
 
-// Serving never trains, so a network that is only prepared and run
-// allocates no gradient buffers.
+// Serving never trains, so a network that is only prepared, exported and
+// run allocates no gradient buffers.
 TEST(Composite, ServingNetworkHoldsNoGradients) {
   Rng rng(5);
   CompositeNetwork net = tiny_composite(rng);
   net.prepare_edge_inference();
-  net.prepare_browser_inference();
+  (void)webinfer::export_browser_model(net, 1, 28, 28);
   const Tensor x = Tensor::randn(Shape{2, 1, 28, 28}, rng);
   (void)net.forward_main_from_shared(net.forward_binary_only(x).shared);
   for (nn::Param* p : net.params()) {

@@ -242,9 +242,8 @@ TEST(EdgeLoad, SeededBrowserClientMixUnderFaultsReconciles) {
     std::int64_t classified = 0, binary = 0, main = 0, fallback = 0;
   };
   std::vector<Outcome> outcomes(kClients);
-  // Export once, single-threaded: export packs the binary branch in
-  // place (prepare_browser_inference), which must not race the client
-  // threads. Each client then loads its own Engine from the same bytes.
+  // Export once; each client then loads its own Engine from the same
+  // model, as browsers load one downloaded blob.
   const webinfer::WebModel browser_model =
       webinfer::export_browser_model(net, 1, 28, 28);
   {

@@ -85,9 +85,8 @@ class CompletionGate {
 TEST(EdgeSoak, StartFloodStopCyclesConverge) {
   Rng rng(8001);
   core::CompositeNetwork net = make_net(rng);
-  // Export once, single-threaded: export packs the binary branch in
-  // place (prepare_browser_inference), which must not race the client
-  // threads. Each client then loads its own Engine from the same bytes.
+  // Export once; each client then loads its own Engine from the same
+  // model, as browsers load one downloaded blob.
   const webinfer::WebModel browser_model =
       webinfer::export_browser_model(net, 1, 28, 28);
 

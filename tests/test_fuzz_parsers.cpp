@@ -15,6 +15,7 @@
 #include "edge/protocol.h"
 #include "nn/model_io.h"
 #include "tensor/serialize.h"
+#include "webinfer/engine.h"
 #include "webinfer/export.h"
 
 namespace lcrs {
@@ -187,7 +188,11 @@ void parse_corpus_input(const std::string& harness, const Bytes& b) {
   } else if (harness == "model_bundle") {
     (void)core::load_bundle(b);
   } else if (harness == "model_blob") {
-    (void)webinfer::deserialize(b);
+    const webinfer::WebModel model = webinfer::deserialize(b);
+    const Shape in{1, model.in_c, model.in_h, model.in_w};
+    if (in.numel() <= (1 << 16)) {
+      (void)webinfer::Engine(model).forward(Tensor{in});
+    }
   } else if (harness == "checkpoint") {
     (void)core::load_composite(b);
   } else {

@@ -4,8 +4,9 @@
 // batch=1, k times". This suite earns that claim from the bottom up
 // with seeded randomized sweeps:
 //
-//   * xnor kernels: bit-packed forward_fast vs the reference float-sign
-//     forward across random geometries -- exactly equal, not almost.
+//   * xnor kernels: xnor_conv2d / xnor_linear on pack_filters(weight) vs
+//     the layers' float-sign forward across random geometries, at every
+//     SIMD level -- exactly equal, not almost.
 //   * row independence: forward(batch)[i] == forward(row_i) for binary
 //     layers, the prepared Linear, Conv2d, the full main branch
 //     (unprepared and prepared), and complete_main_batch.
@@ -22,6 +23,7 @@
 
 #include "binary/binary_conv2d.h"
 #include "binary/binary_linear.h"
+#include "binary/xnor_gemm.h"
 #include "common/simd.h"
 #include "common/simd_math.h"
 #include "core/inference.h"
@@ -32,7 +34,17 @@
 namespace lcrs {
 namespace {
 
-TEST(PropertyXnor, Conv2dFastPathMatchesReferenceAcrossRandomShapes) {
+// Every SIMD level the running host can execute, scalar first.
+std::vector<simd::Level> testable_levels() {
+  std::vector<simd::Level> levels{simd::Level::kScalar};
+  for (const simd::Level l :
+       {simd::Level::kSse, simd::Level::kAvx2, simd::Level::kNeon}) {
+    if (simd::level_available(l)) levels.push_back(l);
+  }
+  return levels;
+}
+
+TEST(PropertyXnor, Conv2dXnorKernelMatchesReferenceAcrossRandomShapes) {
   Rng rng(11001);
   for (int trial = 0; trial < 12; ++trial) {
     const std::int64_t in_c = rng.randint(1, 4);
@@ -48,19 +60,24 @@ TEST(PropertyXnor, Conv2dFastPathMatchesReferenceAcrossRandomShapes) {
 
     binary::BinaryConv2d conv(in_c, out_c, kernel, stride, pad, h, w, rng);
     const Tensor x = Tensor::randn(Shape{n, in_c, h, w}, rng);
-    const Tensor reference = conv.forward(x, /*train=*/false);
-    conv.prepare_inference();
-    const Tensor fast = conv.forward_fast(x);
-    ASSERT_TRUE(reference.same_shape(fast)) << "trial " << trial;
-    EXPECT_EQ(max_abs_diff(reference, fast), 0.0f)
-        << "trial " << trial << ": xnor conv diverged from reference at "
-        << "geometry in_c=" << in_c << " out_c=" << out_c << " k=" << kernel
-        << " s=" << stride << " p=" << pad << " h=" << h << " w=" << w
-        << " n=" << n;
+    const binary::PackedFilters packed =
+        binary::pack_filters(conv.weight().value);
+    for (const simd::Level level : testable_levels()) {
+      simd::ScopedForcedLevel force(level);
+      const Tensor reference = conv.forward(x, /*train=*/false);
+      const Tensor fast =
+          binary::xnor_conv2d(x, conv.geometry(), packed.bits, packed.alpha);
+      ASSERT_TRUE(reference.same_shape(fast)) << "trial " << trial;
+      EXPECT_EQ(max_abs_diff(reference, fast), 0.0f)
+          << simd::level_name(level) << " trial " << trial
+          << ": xnor conv diverged from reference at geometry in_c=" << in_c
+          << " out_c=" << out_c << " k=" << kernel << " s=" << stride
+          << " p=" << pad << " h=" << h << " w=" << w << " n=" << n;
+    }
   }
 }
 
-TEST(PropertyXnor, LinearFastPathMatchesReferenceAcrossRandomShapes) {
+TEST(PropertyXnor, LinearXnorKernelMatchesReferenceAcrossRandomShapes) {
   Rng rng(11002);
   for (int trial = 0; trial < 12; ++trial) {
     const std::int64_t in = rng.randint(1, 96);
@@ -69,13 +86,18 @@ TEST(PropertyXnor, LinearFastPathMatchesReferenceAcrossRandomShapes) {
     const bool bias = rng.bernoulli(0.5);
     binary::BinaryLinear fc(in, out, rng, bias);
     const Tensor x = Tensor::randn(Shape{n, in}, rng);
-    const Tensor reference = fc.forward(x, /*train=*/false);
-    fc.prepare_inference();
-    const Tensor fast = fc.forward_fast(x);
-    ASSERT_TRUE(reference.same_shape(fast)) << "trial " << trial;
-    EXPECT_EQ(max_abs_diff(reference, fast), 0.0f)
-        << "trial " << trial << ": in=" << in << " out=" << out
-        << " n=" << n << " bias=" << bias;
+    const binary::PackedFilters packed =
+        binary::pack_filters(fc.weight().value);
+    for (const simd::Level level : testable_levels()) {
+      simd::ScopedForcedLevel force(level);
+      const Tensor reference = fc.forward(x, /*train=*/false);
+      const Tensor fast = binary::xnor_linear(
+          x, packed.bits, packed.alpha, bias ? &fc.bias_values() : nullptr);
+      ASSERT_TRUE(reference.same_shape(fast)) << "trial " << trial;
+      EXPECT_EQ(max_abs_diff(reference, fast), 0.0f)
+          << simd::level_name(level) << " trial " << trial << ": in=" << in
+          << " out=" << out << " n=" << n << " bias=" << bias;
+    }
   }
 }
 
@@ -186,16 +208,6 @@ TEST(PropertyBatch, CompleteMainBatchMatchesPerSamplePath) {
   }
   EXPECT_THROW(core::complete_main_batch(net, Tensor::ones(Shape{1, 2})),
                Error);
-}
-
-// Every SIMD level the running host can execute, scalar first.
-std::vector<simd::Level> testable_levels() {
-  std::vector<simd::Level> levels{simd::Level::kScalar};
-  for (const simd::Level l :
-       {simd::Level::kSse, simd::Level::kAvx2, simd::Level::kNeon}) {
-    if (simd::level_available(l)) levels.push_back(l);
-  }
-  return levels;
 }
 
 // --- Prepared Linear serving path ---

@@ -15,6 +15,7 @@
 #include "data/synthetic.h"
 #include "nn/activations.h"
 #include "nn/conv2d.h"
+#include "nn/model_io.h"
 #include "nn/pooling.h"
 #include "tensor/tensor_ops.h"
 #include "webinfer/engine.h"
@@ -137,6 +138,25 @@ TEST(Engine, ParityHoldsAfterTraining) {
   const Tensor x = tt.test.images.slice_outer(0, 8);
   const core::CompositeOutput ref = net.forward_binary_only(x);
   EXPECT_LT(max_abs_diff(ref.binary_logits, engine.forward(x)), 1e-3f);
+}
+
+// Export packs the weights the network holds when it is called, however
+// they got there: loading another network's binary branch without a
+// training step must show in the next export.
+TEST(Engine, ExportFollowsWeightsLoadedWithoutTraining) {
+  Rng rng(9);
+  core::CompositeNetwork net = make_net(models::Arch::kLeNet, 1, 28, 10, rng);
+  core::CompositeNetwork other =
+      make_net(models::Arch::kLeNet, 1, 28, 10, rng);
+  const auto before = serialize(export_browser_model(net, 1, 28, 28));
+  nn::load_params(net.binary_branch(), nn::save_params(other.binary_branch()));
+
+  const WebModel after = export_browser_model(net, 1, 28, 28);
+  EXPECT_NE(serialize(after), before);
+  const Tensor x = Tensor::randn(Shape{4, 1, 28, 28}, rng);
+  EXPECT_LT(max_abs_diff(net.forward_binary_only(x).binary_logits,
+                         Engine{after}.forward(x)),
+            1e-3f);
 }
 
 TEST(Engine, ModelBytesAreMuchSmallerThanFloat) {
@@ -298,6 +318,70 @@ TEST(Engine, MaxPoolOpRejectsWindowLargerThanInput) {
   const Tensor x{Shape{1, 1, 1, 1}};
   EXPECT_THROW(single_op_engine(MaxPoolOp{2, 2}, x.shape()).forward_shared(x),
                Error);
+}
+
+// A blob's LinearOp carries in, out and its weight separately, and the
+// engine's gemm reads out * in floats through the raw weight pointer; a
+// weight that is not [out x in] (or a bias that is not [out]) must be
+// refused when the blob is parsed, before any op runs.
+TEST(Format, RejectsLinearOpWhoseWeightOrBiasMismatchesItsShape) {
+  const auto blob = [](const Shape& weight, const Shape& bias) {
+    LinearOp op;
+    op.in = 6;
+    op.out = 4;
+    op.has_bias = true;
+    op.weight = Tensor{weight};
+    op.bias = Tensor{bias};
+    WebModel m;
+    m.in_c = 6;
+    m.in_h = m.in_w = 1;
+    m.num_classes = 4;
+    m.ops = {FlattenOp{}, std::move(op)};
+    return serialize(m);
+  };
+  EXPECT_THROW(deserialize(blob(Shape{4, 5}, Shape{4})), Error);
+  EXPECT_THROW(deserialize(blob(Shape{3, 6}, Shape{4})), Error);
+  EXPECT_THROW(deserialize(blob(Shape{24}, Shape{4})), Error);
+  EXPECT_THROW(deserialize(blob(Shape{4, 6}, Shape{3})), Error);
+  const Engine ok{deserialize(blob(Shape{4, 6}, Shape{4}))};
+  EXPECT_EQ(ok.forward(Tensor{Shape{2, 6, 1, 1}}).shape(), (Shape{2, 4}));
+}
+
+// 64-bit FNV-1a, enough to tell one blob from another.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The exported blob's bytes are the browser's download: a change to how
+// export packs or lays out the weights must show here, not only as a
+// parity drift. Untrained fixed-seed composites, one per served model.
+TEST(Export, BlobBytesArePinned) {
+  struct Pin {
+    models::ModelConfig cfg;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {{models::Arch::kLeNet, 1, 28, 28, 10, 1.0, 0.0}, 51749,
+       0x18551aa10330980aull},
+      {{models::Arch::kAlexNet, 3, 32, 32, 10, 0.5, 0.0}, 521049,
+       0x155b115e19030108ull},
+  };
+  for (const Pin& pin : pins) {
+    Rng rng(23);
+    core::CompositeNetwork net = core::CompositeNetwork::build(pin.cfg, rng);
+    const auto bytes = serialize(export_browser_model(
+        net, pin.cfg.in_channels, pin.cfg.in_h, pin.cfg.in_w));
+    EXPECT_EQ(bytes.size(), pin.size) << models::arch_name(pin.cfg.arch);
+    EXPECT_EQ(fnv1a(bytes), pin.hash)
+        << models::arch_name(pin.cfg.arch) << " 0x" << std::hex
+        << fnv1a(bytes);
+  }
 }
 
 }  // namespace
