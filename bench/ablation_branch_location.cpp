@@ -111,8 +111,8 @@ int main() {
         cost.browser_compute_ms(shared_prof, 0, shared_prof.size()) +
         cost.browser_compute_ms(rest_prof, 0, depth) +
         cost.browser_compute_ms(branch_prof, 0, branch_prof.size());
-    const std::int64_t upload_bytes =
-        8 + 8 * 4 + 4 * (train_f.numel() / train_f.dim(0));
+    const std::int64_t upload_bytes = baselines::upload_frame_bytes(
+        Shape{train_f.dim(1), train_f.dim(2), train_f.dim(3)});
     const double miss = 0.25;  // fixed miss rate isolates the geometry
     const double expected_ms =
         browser_ms + miss * (cost.network().upload_ms(upload_bytes) +

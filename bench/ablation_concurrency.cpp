@@ -70,19 +70,15 @@ int main() {
 
   // Analytic capacity from the calibrated cost model.
   const sim::CostModel cost = sim::CostModel::paper_default();
-  const auto profiles = bench::full_width_profile(models::Arch::kResNet18);
-  Rng rng(9);
-  const models::ModelConfig cfg{models::Arch::kResNet18, 3, 32, 32, 10, 1.0};
-  core::CompositeNetwork full_net = core::CompositeNetwork::build(cfg, rng);
-  const Shape shared_shape{full_net.shared_out_c(), full_net.shared_out_h(),
-                           full_net.shared_out_w()};
-  const auto rest_prof =
-      models::profile_layers(full_net.main_rest(), shared_shape);
+  const auto profiles = bench::full_width_model(models::Arch::kResNet18).layers;
+  const baselines::LcrsModel lcrs = bench::full_width_lcrs_model(
+      models::Arch::kResNet18,
+      bench::paper_exit_fraction(models::Arch::kResNet18));
 
   sim::EdgeLoadProfile load;
   load.full_model_ms = cost.edge_compute_ms(profiles, 0, profiles.size());
-  load.rest_only_ms = cost.edge_compute_ms(rest_prof, 0, rest_prof.size());
-  load.exit_fraction = 0.73;  // Table I's ResNet18-CIFAR10 exit rate
+  load.rest_only_ms = cost.edge_compute_ms(lcrs.rest, 0, lcrs.rest.size());
+  load.exit_fraction = lcrs.exit_fraction;
 
   std::printf("analytic (M/D/1, mean edge response <= 100 ms):\n");
   std::printf("  edge-only: service %.2f ms -> %.0f recognitions/s\n",

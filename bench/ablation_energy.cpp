@@ -30,23 +30,9 @@ int main() {
 
   for (const auto arch : {models::Arch::kLeNet, models::Arch::kAlexNet,
                           models::Arch::kResNet18, models::Arch::kVgg16}) {
-    baselines::ModelUnderTest model;
-    model.name = models::arch_name(arch);
-    model.layers = bench::full_width_profile(arch);
-    model.input_elems = 3 * 32 * 32;
+    const baselines::ModelUnderTest model = bench::full_width_model(arch);
 
-    Rng rng(9);
-    const models::ModelConfig cfg{arch, 3, 32, 32, 10, 1.0};
-    core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
-    baselines::LcrsModel lm;
-    lm.shared = models::profile_layers(net.shared_stage(), Shape{3, 32, 32});
-    const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
-                             net.shared_out_w()};
-    lm.branch = models::profile_layers(net.binary_branch(), shared_shape);
-    lm.rest = models::profile_layers(net.main_rest(), shared_shape);
-    lm.input_elems = 3 * 32 * 32;
-    lm.shared_out_elems = shared_shape.numel();
-    lm.exit_fraction = 0.78;
+    const baselines::LcrsModel lm = bench::full_width_lcrs_model(arch, 0.78);
 
     std::printf(
         "%-10s %10.0f %14.0f %10.0f %13.0f %11.0f\n", model.name.c_str(),

@@ -17,24 +17,12 @@ int main() {
   std::printf("Ablation: end-to-end latency (ms) across link conditions "
               "(ResNet18, CIFAR10)\n\n");
 
-  baselines::ModelUnderTest model;
-  model.name = "ResNet18";
-  model.layers = bench::full_width_profile(models::Arch::kResNet18);
-  model.input_elems = 3 * 32 * 32;
+  const baselines::ModelUnderTest model =
+      bench::full_width_model(models::Arch::kResNet18);
 
-  Rng rng(9);
-  const models::ModelConfig cfg{models::Arch::kResNet18, 3, 32, 32, 10, 1.0};
-  core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
-  baselines::LcrsModel lm;
-  lm.name = "ResNet18";
-  lm.shared = models::profile_layers(net.shared_stage(), Shape{3, 32, 32});
-  const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
-                           net.shared_out_w()};
-  lm.branch = models::profile_layers(net.binary_branch(), shared_shape);
-  lm.rest = models::profile_layers(net.main_rest(), shared_shape);
-  lm.input_elems = 3 * 32 * 32;
-  lm.shared_out_elems = shared_shape.numel();
-  lm.exit_fraction = 0.73;
+  const baselines::LcrsModel lm = bench::full_width_lcrs_model(
+      models::Arch::kResNet18,
+      bench::paper_exit_fraction(models::Arch::kResNet18));
 
   struct NamedLink {
     const char* name;

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/lcrs_approach.h"
 #include "common/obs/flight_recorder.h"
 #include "common/obs/metrics.h"
 #include "common/simd.h"
@@ -153,32 +154,63 @@ inline TrainedCombo run_combo(models::Arch arch, const std::string& dataset,
   combo.dataset = dataset;
   combo.result = trainer.train(combo.data.train, combo.data.test, rng);
 
-  // Size columns from the full-width architecture.
+  // Size columns from the full-width architecture; B_size is the
+  // serialized browser blob.
   Rng size_rng(1);
   const models::ModelConfig full{arch, spec.channels, spec.height, spec.width,
                                  spec.num_classes, 1.0};
-  models::MainBranch full_main = models::build_main_branch(full, size_rng);
-  const std::int64_t main_bytes =
-      full_main.conv1->param_bytes() + full_main.rest->param_bytes();
-  auto full_branch = models::build_binary_branch(
-      models::default_branch(arch), full_main.out_c, full_main.out_h,
-      full_main.out_w, spec.num_classes, size_rng);
-  const std::int64_t branch_bytes =
-      full_main.conv1->param_bytes() +
-      models::browser_payload_bytes(*full_branch);
+  core::CompositeNetwork full_net =
+      core::CompositeNetwork::build(full, size_rng);
+  const std::int64_t main_bytes = full_net.shared_stage().param_bytes() +
+                                  full_net.main_rest().param_bytes();
+  const baselines::LcrsModel full_lcrs = baselines::lcrs_model_of(
+      full_net, Shape{spec.channels, spec.height, spec.width},
+      combo.result.exit_stats.exit_fraction);
   combo.main_size_mb = static_cast<double>(main_bytes) / (1024.0 * 1024.0);
   combo.binary_size_mb =
-      static_cast<double>(branch_bytes) / (1024.0 * 1024.0);
+      static_cast<double>(full_lcrs.browser_model_bytes) / (1024.0 * 1024.0);
   return combo;
 }
 
-/// Profiles a full-width monolithic model for the cost-model benches.
-inline std::vector<models::LayerProfile> full_width_profile(
-    models::Arch arch, std::int64_t classes = 10) {
+/// The exit fractions the paper's Table I reports for CIFAR10. The
+/// analytic tables use them instead of the synthetic substrate's
+/// measured ones; bench/table1_training re-measures them.
+inline double paper_exit_fraction(models::Arch arch) {
+  switch (arch) {
+    case models::Arch::kLeNet:
+      return 0.84;
+    case models::Arch::kAlexNet:
+      return 0.79;
+    case models::Arch::kResNet18:
+      return 0.73;
+    case models::Arch::kVgg16:
+      return 0.78;
+  }
+  return 0.8;
+}
+
+/// LCRS on the full-width CIFAR10-shaped composite of `arch`, for the
+/// analytic benches.
+inline baselines::LcrsModel full_width_lcrs_model(models::Arch arch,
+                                                  double exit_fraction) {
+  Rng rng(9);
+  const models::ModelConfig cfg{arch, 3, 32, 32, 10, 1.0};
+  core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
+  return baselines::lcrs_model_of(net, Shape{3, 32, 32}, exit_fraction);
+}
+
+/// The full-width monolithic model of `arch` (CIFAR10-shaped input) that
+/// the partition baselines price.
+inline baselines::ModelUnderTest full_width_model(models::Arch arch,
+                                                  std::int64_t classes = 10) {
   Rng rng(3);
   const models::ModelConfig cfg{arch, 3, 32, 32, classes, 1.0};
   auto mono = models::build_monolithic(cfg, rng);
-  return models::profile_layers(*mono, Shape{3, 32, 32});
+  baselines::ModelUnderTest model;
+  model.name = models::arch_name(arch);
+  model.layers = models::profile_layers(*mono, Shape{3, 32, 32});
+  model.input_elems = 3 * 32 * 32;
+  return model;
 }
 
 inline void print_rule(int width) {

@@ -9,13 +9,13 @@
 
 #include "baselines/edgent.h"
 #include "baselines/lcrs_approach.h"
+#include "baselines/local_runtime.h"
 #include "baselines/mobile_only.h"
 #include "baselines/neurosurgeon.h"
 #include "bench_util.h"
 #include "common/logging.h"
 #include "core/joint_trainer.h"
 #include "data/logo.h"
-#include "edge/local_runtime.h"
 
 using namespace lcrs;
 
@@ -52,14 +52,14 @@ int main() {
 
   // Measure LCRS-B / LCRS-M from real decisions on 100 scans.
   const sim::CostModel cost = sim::CostModel::paper_default();
-  edge::LocalRuntime runtime(net, core::ExitPolicy{result.exit_stats.tau},
-                             cost, Shape{3, 32, 32});
+  baselines::LocalRuntime runtime(
+      net, core::ExitPolicy{result.exit_stats.tau}, cost, Shape{3, 32, 32});
   Rng scan_rng(5);
   double b_total = 0.0, m_total = 0.0;
   std::int64_t b_count = 0, m_count = 0;
   for (int i = 0; i < 100; ++i) {
     const std::int64_t idx = scan_rng.randint(0, logos.test.size() - 1);
-    const edge::SimStep step =
+    const baselines::SimStep step =
         runtime.classify(logos.test.image(idx), scan_rng);
     const double ms = runtime.amortized_load_ms() + step.total_ms();
     if (step.exit_point == core::ExitPoint::kBinaryBranch) {
@@ -72,11 +72,8 @@ int main() {
   }
 
   // Baselines on the full-width ResNet18 profile.
-  baselines::ModelUnderTest model;
-  model.name = "ResNet18";
-  model.layers = bench::full_width_profile(models::Arch::kResNet18,
-                                           logo_spec.num_brands);
-  model.input_elems = 3 * 32 * 32;
+  const baselines::ModelUnderTest model =
+      bench::full_width_model(models::Arch::kResNet18, logo_spec.num_brands);
   const sim::Scenario scenario;
 
   std::printf("%-14s %12s\n", "approach", "latency(ms)");

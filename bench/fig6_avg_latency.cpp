@@ -8,9 +8,9 @@
 // fluctuations.
 #include <cstdio>
 
+#include "baselines/local_runtime.h"
 #include "bench_util.h"
 #include "common/logging.h"
-#include "edge/local_runtime.h"
 
 using namespace lcrs;
 
@@ -39,9 +39,9 @@ int main() {
     sim::LinkSpec link = sim::lte_4g();
     link.jitter_frac = 0.25;  // the paper's unstable-wireless setting
     sim::CostModel cost{sim::mobile_web_browser(), sim::edge_server(), link};
-    edge::LocalRuntime runtime(*combo.net,
-                               core::ExitPolicy{combo.result.exit_stats.tau},
-                               cost, Shape{3, 32, 32});
+    baselines::LocalRuntime runtime(
+        *combo.net, core::ExitPolicy{combo.result.exit_stats.tau}, cost,
+        Shape{3, 32, 32});
 
     Rng rng(seed * 13);
     std::printf("%-10s", combo.network.c_str());

@@ -25,30 +25,17 @@ int main() {
 
   for (const auto arch : {models::Arch::kLeNet, models::Arch::kAlexNet,
                           models::Arch::kResNet18, models::Arch::kVgg16}) {
-    baselines::ModelUnderTest model;
-    model.name = models::arch_name(arch);
-    model.layers = bench::full_width_profile(arch);
-    model.input_elems = 3 * 32 * 32;
+    const baselines::ModelUnderTest model = bench::full_width_model(arch);
 
-    Rng rng(9);
-    const models::ModelConfig cfg{arch, 3, 32, 32, 10, 1.0};
-    core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
-    baselines::LcrsModel lm;
-    lm.shared = models::profile_layers(net.shared_stage(), Shape{3, 32, 32});
-    const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
-                             net.shared_out_w()};
-    lm.branch = models::profile_layers(net.binary_branch(), shared_shape);
-    lm.rest = models::profile_layers(net.main_rest(), shared_shape);
-    lm.input_elems = 3 * 32 * 32;
-    lm.shared_out_elems = shared_shape.numel();
-    lm.exit_fraction = 0.8;
+    const baselines::LcrsModel lm =
+        bench::full_width_lcrs_model(arch, bench::paper_exit_fraction(arch));
 
     const auto mb = [](std::int64_t bytes) {
       return static_cast<double>(bytes) / (1024.0 * 1024.0);
     };
     std::printf(
         "%-10s %10.3f %14.3f %10.3f %13.3f\n", model.name.c_str(),
-        mb(lm.browser_model_bytes()),
+        mb(lm.browser_model_bytes),
         mb(baselines::evaluate_neurosurgeon(model, cost, scenario)
                .browser_model_bytes),
         mb(baselines::evaluate_edgent(model, cost, scenario)

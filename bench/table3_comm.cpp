@@ -14,24 +14,6 @@
 
 using namespace lcrs;
 
-namespace {
-
-double paper_exit_fraction(models::Arch arch) {
-  switch (arch) {
-    case models::Arch::kLeNet:
-      return 0.84;
-    case models::Arch::kAlexNet:
-      return 0.79;
-    case models::Arch::kResNet18:
-      return 0.73;
-    case models::Arch::kVgg16:
-      return 0.78;
-  }
-  return 0.8;
-}
-
-}  // namespace
-
 int main() {
   set_log_level(LogLevel::kWarn);
   const sim::CostModel cost = sim::CostModel::paper_default();
@@ -45,24 +27,10 @@ int main() {
 
   for (const auto arch : {models::Arch::kLeNet, models::Arch::kAlexNet,
                           models::Arch::kResNet18, models::Arch::kVgg16}) {
-    baselines::ModelUnderTest model;
-    model.name = models::arch_name(arch);
-    model.layers = bench::full_width_profile(arch);
-    model.input_elems = 3 * 32 * 32;
+    const baselines::ModelUnderTest model = bench::full_width_model(arch);
 
-    Rng rng(9);
-    const models::ModelConfig cfg{arch, 3, 32, 32, 10, 1.0};
-    core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
-    baselines::LcrsModel lm;
-    lm.name = model.name;
-    lm.shared = models::profile_layers(net.shared_stage(), Shape{3, 32, 32});
-    const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
-                             net.shared_out_w()};
-    lm.branch = models::profile_layers(net.binary_branch(), shared_shape);
-    lm.rest = models::profile_layers(net.main_rest(), shared_shape);
-    lm.input_elems = 3 * 32 * 32;
-    lm.shared_out_elems = shared_shape.numel();
-    lm.exit_fraction = paper_exit_fraction(arch);
+    const baselines::LcrsModel lm =
+        bench::full_width_lcrs_model(arch, bench::paper_exit_fraction(arch));
 
     std::printf("%-10s %10.0f %14.0f %10.0f %13.0f %11.0f\n",
                 model.name.c_str(),

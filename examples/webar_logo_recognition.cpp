@@ -9,11 +9,11 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "baselines/local_runtime.h"
 #include "common/logging.h"
 #include "core/joint_trainer.h"
 #include "data/image_io.h"
 #include "data/logo.h"
-#include "edge/local_runtime.h"
 
 using namespace lcrs;
 
@@ -56,16 +56,16 @@ int main(int argc, char** argv) {
               result.exit_stats.tau);
 
   // Scan loop with the simulated browser/edge/4G timeline.
-  edge::LocalRuntime runtime(net, core::ExitPolicy{result.exit_stats.tau},
-                             sim::CostModel::paper_default(),
-                             Shape{3, 32, 32});
+  baselines::LocalRuntime runtime(net, core::ExitPolicy{result.exit_stats.tau},
+                                  sim::CostModel::paper_default(),
+                                  Shape{3, 32, 32});
   std::printf("%-5s %-12s %-12s %8s %8s %8s %8s %9s\n", "scan", "truth",
               "recognized", "browser", "upload", "edge", "reply", "total");
   Rng scan_rng(99);
   std::int64_t correct = 0;
   for (std::int64_t i = 0; i < scans; ++i) {
     const std::int64_t idx = scan_rng.randint(0, logos.test.size() - 1);
-    const edge::SimStep step =
+    const baselines::SimStep step =
         runtime.classify(logos.test.image(idx), scan_rng);
     const std::int64_t truth =
         logos.test.labels[static_cast<std::size_t>(idx)];

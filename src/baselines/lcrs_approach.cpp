@@ -1,62 +1,54 @@
 #include "baselines/lcrs_approach.h"
 
+#include "edge/protocol.h"
+#include "webinfer/export.h"
+
 namespace lcrs::baselines {
 
-std::int64_t LcrsModel::browser_model_bytes() const {
-  std::int64_t bytes = 8;  // file header
-  for (const auto& l : shared) bytes += l.param_bytes;
-  for (const auto& l : branch) {
-    bytes += l.is_binary ? l.binary_bytes : l.param_bytes;
-  }
-  return bytes;
+std::int64_t upload_frame_bytes(const Shape& feature_shape) {
+  LCRS_CHECK(feature_shape.rank() == 3, "feature_shape must be [C, H, W]");
+  const Tensor map{Shape{1, feature_shape[0], feature_shape[1],
+                         feature_shape[2]}};
+  const edge::Frame frame{edge::MsgType::kCompleteRequest,
+                          edge::make_complete_request(map)};
+  return static_cast<std::int64_t>(edge::encode_frame(frame).size());
 }
 
-namespace {
-
-double browser_forward_ms(const LcrsModel& m, const sim::CostModel& cost) {
-  return cost.browser_compute_ms(m.shared, 0, m.shared.size()) +
-         cost.browser_compute_ms(m.branch, 0, m.branch.size());
+LcrsModel lcrs_model_of(core::CompositeNetwork& net, const Shape& sample_shape,
+                        double exit_fraction) {
+  LCRS_CHECK(sample_shape.rank() == 3, "sample_shape must be [C, H, W]");
+  const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
+                           net.shared_out_w()};
+  LcrsModel m;
+  m.shared = models::profile_layers(net.shared_stage(), sample_shape);
+  m.branch = models::profile_layers(net.binary_branch(), shared_shape);
+  m.rest = models::profile_layers(net.main_rest(), shared_shape);
+  m.upload_bytes = upload_frame_bytes(shared_shape);
+  m.browser_model_bytes = static_cast<std::int64_t>(
+      webinfer::serialize(webinfer::export_browser_model(
+                              net, sample_shape[0], sample_shape[1],
+                              sample_shape[2]))
+          .size());
+  m.exit_fraction = exit_fraction;
+  return m;
 }
-
-double collaborate_extra_ms(const LcrsModel& m, const sim::CostModel& cost,
-                            const sim::Scenario& scenario, double* comm_out) {
-  const std::int64_t upload_bytes = 8 + 8 * 4 + 4 * m.shared_out_elems;
-  const double up = cost.network().upload_ms(upload_bytes);
-  const double down = cost.network().download_ms(scenario.result_bytes);
-  const double edge = cost.edge_compute_ms(m.rest, 0, m.rest.size());
-  if (comm_out != nullptr) *comm_out = up + down;
-  return up + down + edge;
-}
-
-}  // namespace
 
 ApproachCost evaluate_lcrs(const LcrsModel& model, const sim::CostModel& cost,
                            const sim::Scenario& scenario) {
   LCRS_CHECK(model.exit_fraction >= 0.0 && model.exit_fraction <= 1.0,
              "exit_fraction must be a probability");
-  const double n = static_cast<double>(scenario.session_samples);
   const double miss = 1.0 - model.exit_fraction;
+  const LcrsPathCosts p = lcrs_path_costs(model, cost, scenario);
 
   ApproachCost c;
   c.name = "LCRS";
-  c.browser_model_bytes = model.browser_model_bytes();
-  const double load = cost.network().download_ms(c.browser_model_bytes) / n;
-
-  const double browser_ms = browser_forward_ms(model, cost);
-  c.compute_ms = browser_ms;
-  double collab_comm = 0.0;
-  const double collab_total =
-      collaborate_extra_ms(model, cost, scenario, &collab_comm);
-  c.comm_ms = load + miss * collab_comm;
-  c.compute_ms += miss * (collab_total - collab_comm);
+  c.browser_model_bytes = model.browser_model_bytes;
+  c.comm_ms = p.load_ms + miss * (p.upload_ms + p.download_ms);
+  c.compute_ms = p.browser_ms + miss * p.edge_ms;
   c.total_ms = c.comm_ms + c.compute_ms;
-
-  const std::int64_t upload_bytes = 8 + 8 * 4 + 4 * model.shared_out_elems;
-  const double up = cost.network().upload_ms(upload_bytes);
-  const double down = cost.network().download_ms(scenario.result_bytes);
-  c.device_energy_mj = cost.energy().compute_mj(browser_ms) +
-                       cost.energy().tx_mj(miss * up) +
-                       cost.energy().rx_mj(load + miss * down);
+  c.device_energy_mj = cost.energy().compute_mj(p.browser_ms) +
+                       cost.energy().tx_mj(miss * p.upload_ms) +
+                       cost.energy().rx_mj(p.load_ms + miss * p.download_ms);
   record_approach_cost(c);
   return c;
 }
@@ -64,15 +56,20 @@ ApproachCost evaluate_lcrs(const LcrsModel& model, const sim::CostModel& cost,
 LcrsPathCosts lcrs_path_costs(const LcrsModel& model,
                               const sim::CostModel& cost,
                               const sim::Scenario& scenario) {
-  const double n = static_cast<double>(scenario.session_samples);
-  const double load =
-      cost.network().download_ms(model.browser_model_bytes()) / n;
-  const double browser = browser_forward_ms(model, cost);
-
   LcrsPathCosts p;
-  p.exit_binary_ms = load + browser;
+  p.load_ms = cost.network().download_ms(model.browser_model_bytes) /
+              static_cast<double>(scenario.session_samples);
+  p.browser_ms =
+      cost.browser_compute_ms(model.shared, 0, model.shared.size()) +
+      cost.browser_compute_ms(model.branch, 0, model.branch.size());
+  p.upload_ms = cost.network().upload_ms(model.upload_bytes);
+  p.edge_ms = cost.edge_compute_ms(model.rest, 0, model.rest.size());
+  p.download_ms = cost.network().download_ms(scenario.result_bytes);
+  p.exit_binary_ms = p.load_ms + p.browser_ms;
+  // Summed in SimStep::total_ms()'s order, so a zero-jitter LocalRuntime
+  // step reproduces this total exactly.
   p.exit_main_ms =
-      load + browser + collaborate_extra_ms(model, cost, scenario, nullptr);
+      p.load_ms + (p.browser_ms + p.upload_ms + p.edge_ms + p.download_ms);
   return p;
 }
 

@@ -103,12 +103,6 @@ inline constexpr const char* kExitFallback = "core.exit.binary_fallback";
 // --- training --------------------------------------------------------
 inline constexpr const char* kTrainBatchUs = "train.batch_us";
 
-// --- local (simulated) runtime ---------------------------------------
-inline constexpr const char* kSimBrowserUs = "sim.step.browser_us";
-inline constexpr const char* kSimUploadUs = "sim.step.upload_us";
-inline constexpr const char* kSimEdgeUs = "sim.step.edge_us";
-inline constexpr const char* kSimDownloadUs = "sim.step.download_us";
-
 // --- dynamic-name builders -------------------------------------------
 
 /// Per-layer timing in Sequential: "nn.layer.<index>.<kind>.<stage>",

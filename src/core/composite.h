@@ -58,7 +58,8 @@ class CompositeNetwork {
   /// transpose. Conv2d needs no preparation: its forward runs the
   /// weights in place. Call before serving edge completions
   /// (main_branch_batch_completion does this); training invalidates the
-  /// caches per-layer, so re-prepare afterwards.
+  /// caches per-layer, so re-prepare afterwards. nn::load_params rebuilds
+  /// prepared caches from the loaded weights.
   void prepare_edge_inference();
 
   nn::Sequential& shared_stage() { return *shared_; }

@@ -71,6 +71,11 @@ class Layer {
   };
   virtual std::vector<NamedState> state_tensors() { return {}; }
 
+  /// Called by nn::load_params on every layer of the loaded tree once the
+  /// new parameters and state are in place. A layer that caches values
+  /// derived from its weights rebuilds them here.
+  virtual void params_loaded() {}
+
   /// Direct child layers of composite layers (Sequential, ResidualBlock);
   /// empty for leaves. Enables generic model-tree walks (e.g. the int8
   /// payload accounting).

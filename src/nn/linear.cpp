@@ -48,6 +48,14 @@ void Linear::prepare_inference() {
   wt_fresh_ = true;
 }
 
+void Linear::params_loaded() {
+  // A prepared layer stays on the prepared path, now with the loaded
+  // weights; an unprepared one stays unprepared.
+  if (!wt_fresh_) return;
+  wt_fresh_ = false;
+  prepare_inference();
+}
+
 Tensor Linear::backward(const Tensor& grad_output) {
   // A backward pass means an optimizer step is coming; the cached
   // transpose would silently serve stale weights after it.

@@ -20,12 +20,13 @@ class Linear : public Layer {
   /// row-major `gemm`, whose inner loop vectorizes over output neurons. At
   /// AVX2 a batch below gemm's small-batch crossover (the edge's usual
   /// batch of 1) streams each W^T row once; larger batches amortize
-  /// weight tiles across rows. Same contract as the binary
-  /// layers' prepare_inference(): call once after training settles;
+  /// weight tiles across rows. Call once after training settles;
   /// backward() invalidates the cache, so further training safely falls
-  /// back to the untransposed path until prepared again.
+  /// back to the untransposed path until prepared again, and
+  /// nn::load_params rebuilds a prepared cache from the loaded weights.
   void prepare_inference();
   bool inference_prepared() const { return wt_fresh_; }
+  void params_loaded() override;
   std::string kind() const override { return "linear"; }
   std::int64_t flops_per_sample() const override {
     return 2 * in_ * out_ + (has_bias_ ? out_ : 0);

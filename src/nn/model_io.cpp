@@ -6,7 +6,12 @@ namespace lcrs::nn {
 
 namespace {
 constexpr std::uint32_t kModelMagic = 0x4c43524d;  // "LCRM"
+
+void notify_params_loaded(Layer& layer) {
+  layer.params_loaded();
+  for (Layer* child : layer.children()) notify_params_loaded(*child);
 }
+}  // namespace
 
 std::vector<std::uint8_t> save_params(Layer& model) {
   ByteWriter w;
@@ -80,13 +85,16 @@ void load_params(Layer& model, const std::vector<std::uint8_t>& bytes) {
     throw ParseError("trailing bytes after model parameters");
   }
 
-  // Commit -- nothing below can throw.
+  // Commit -- these moves cannot throw.
   for (std::size_t i = 0; i < params.size(); ++i) {
     params[i]->value = std::move(staged_params[i]);
   }
   for (std::size_t i = 0; i < states.size(); ++i) {
     *states[i].tensor = std::move(staged_states[i]);
   }
+  // Layers rebuild what they derived from the old weights (a prepared
+  // Linear's W^T), so a loaded network never serves a stale cache.
+  notify_params_loaded(model);
 }
 
 void save_params_file(Layer& model, const std::string& path) {

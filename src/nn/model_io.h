@@ -16,7 +16,8 @@ namespace lcrs::nn {
 std::vector<std::uint8_t> save_params(Layer& model);
 
 /// Restores parameters saved by save_params into an identically
-/// constructed model; throws ParseError on any mismatch.
+/// constructed model, then calls Layer::params_loaded() on every layer
+/// of it; throws ParseError on any mismatch, leaving the model unchanged.
 void load_params(Layer& model, const std::vector<std::uint8_t>& bytes);
 
 /// Convenience file wrappers.

@@ -1,15 +1,19 @@
 // Baseline approach tests: cost arithmetic of Mobile-only / Edge-only,
-// partition choices of Neurosurgeon / Edgent, the LCRS evaluator, and the
-// Table II ordering properties the paper reports.
+// partition choices of Neurosurgeon / Edgent, the LCRS evaluator and its
+// encoder-measured bytes, LocalRuntime's pricing, and the Table II
+// ordering properties the paper reports.
 #include <gtest/gtest.h>
 
 #include "baselines/edge_only.h"
 #include "baselines/edgent.h"
 #include "baselines/lcrs_approach.h"
+#include "baselines/local_runtime.h"
 #include "baselines/mobile_only.h"
 #include "baselines/neurosurgeon.h"
 #include "core/composite.h"
+#include "edge/protocol.h"
 #include "models/accounting.h"
+#include "webinfer/export.h"
 
 namespace lcrs::baselines {
 namespace {
@@ -29,17 +33,7 @@ LcrsModel make_lcrs_model(models::Arch arch, double exit_fraction) {
   Rng rng(6);
   const models::ModelConfig cfg{arch, 3, 32, 32, 10, 1.0};
   core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
-  LcrsModel m;
-  m.name = models::arch_name(arch);
-  m.shared = models::profile_layers(net.shared_stage(), Shape{3, 32, 32});
-  const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
-                           net.shared_out_w()};
-  m.branch = models::profile_layers(net.binary_branch(), shared_shape);
-  m.rest = models::profile_layers(net.main_rest(), shared_shape);
-  m.input_elems = 3 * 32 * 32;
-  m.shared_out_elems = shared_shape.numel();
-  m.exit_fraction = exit_fraction;
-  return m;
+  return lcrs_model_of(net, Shape{3, 32, 32}, exit_fraction);
 }
 
 TEST(MobileOnly, CostDecomposes) {
@@ -126,7 +120,30 @@ TEST(Lcrs, BrowserModelIsSmallAndPacked) {
   for (const auto& l : m.branch) float_branch += l.param_bytes;
   std::int64_t shared_bytes = 0;
   for (const auto& l : m.shared) shared_bytes += l.param_bytes;
-  EXPECT_LT(m.browser_model_bytes(), shared_bytes + float_branch);
+  EXPECT_LT(m.browser_model_bytes, shared_bytes + float_branch);
+}
+
+// lcrs_model_of's two byte counts are what the encoders write: the request
+// frame that uploads this net's conv1 map, and the serialized blob.
+TEST(Lcrs, BytesComeFromTheRealEncoders) {
+  for (const models::ModelConfig& cfg :
+       {models::ModelConfig{models::Arch::kLeNet, 1, 28, 28, 10, 1.0},
+        models::ModelConfig{models::Arch::kAlexNet, 3, 32, 32, 10, 0.5}}) {
+    SCOPED_TRACE(models::arch_name(cfg.arch));
+    Rng rng(7);
+    core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
+    const LcrsModel m =
+        lcrs_model_of(net, Shape{cfg.in_channels, cfg.in_h, cfg.in_w}, 0.8);
+    const Tensor conv1_map = net.shared_stage().forward(
+        Tensor::randn(Shape{1, cfg.in_channels, cfg.in_h, cfg.in_w}, rng),
+        false);
+    const edge::Frame request{edge::MsgType::kCompleteRequest,
+                              edge::make_complete_request(conv1_map)};
+    EXPECT_EQ(m.upload_bytes, std::ssize(edge::encode_frame(request)));
+    EXPECT_EQ(m.browser_model_bytes,
+              std::ssize(webinfer::serialize(webinfer::export_browser_model(
+                  net, cfg.in_channels, cfg.in_h, cfg.in_w))));
+  }
 }
 
 TEST(Lcrs, HigherExitFractionIsFaster) {
@@ -155,6 +172,26 @@ TEST(Lcrs, InvalidExitFractionThrows) {
   EXPECT_THROW(
       evaluate_lcrs(m, sim::CostModel::paper_default(), sim::Scenario{}),
       Error);
+}
+
+// LocalRuntime prices through lcrs_path_costs: on a link without jitter
+// each step plus the amortized load is exactly one of the two paths.
+TEST(LocalRuntime, ZeroJitterStepsMatchPathCosts) {
+  Rng rng(8);
+  const models::ModelConfig cfg{models::Arch::kLeNet, 1, 28, 28, 10, 1.0};
+  core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
+  const sim::CostModel cost = sim::CostModel::paper_default();
+  ASSERT_EQ(cost.network().spec().jitter_frac, 0.0);
+  const LcrsPathCosts paths = lcrs_path_costs(
+      lcrs_model_of(net, Shape{1, 28, 28}, 0.5), cost, sim::Scenario{});
+  const Tensor x = Tensor::randn(Shape{1, 1, 28, 28}, rng);
+  // tau = 1.1 exits every sample at the browser; tau = 0 exits none.
+  for (const double tau : {1.1, 0.0}) {
+    LocalRuntime runtime(net, core::ExitPolicy{tau}, cost, Shape{1, 28, 28});
+    const SimStep step = runtime.classify(x, rng);
+    EXPECT_DOUBLE_EQ(runtime.amortized_load_ms() + step.total_ms(),
+                     tau > 1.0 ? paths.exit_binary_ms : paths.exit_main_ms);
+  }
 }
 
 TEST(TableII, OrderingHoldsForDeepNetworks) {

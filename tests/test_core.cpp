@@ -12,6 +12,8 @@
 #include "core/inference.h"
 #include "core/joint_trainer.h"
 #include "data/synthetic.h"
+#include "nn/linear.h"
+#include "nn/model_io.h"
 #include "tensor/tensor_ops.h"
 #include "webinfer/export.h"
 
@@ -141,6 +143,31 @@ TEST(Composite, ServingNetworkHoldsNoGradients) {
   for (nn::Param* p : net.params()) {
     EXPECT_EQ(p->grad().numel(), 0) << p->name;
   }
+}
+
+// Loading weights into a prepared network must not leave the edge
+// serving the old weights' cached W^T, and the network stays prepared.
+TEST(Composite, PreparedNetworkServesLoadedWeights) {
+  Rng rng_a(1), rng_b(2);
+  CompositeNetwork a = tiny_composite(rng_a);
+  CompositeNetwork b = tiny_composite(rng_b);
+  a.prepare_edge_inference();
+  b.prepare_edge_inference();
+  nn::load_params(a.main_rest(), nn::save_params(b.main_rest()));
+
+  const Tensor shared = Tensor::randn(
+      Shape{3, a.shared_out_c(), a.shared_out_h(), a.shared_out_w()}, rng_a);
+  EXPECT_EQ(max_abs_diff(a.forward_main_from_shared(shared),
+                         b.forward_main_from_shared(shared)),
+            0.0f);
+  int prepared = 0;
+  for (nn::Layer* layer : a.main_rest().children()) {
+    if (auto* fc = dynamic_cast<nn::Linear*>(layer)) {
+      EXPECT_TRUE(fc->inference_prepared());
+      ++prepared;
+    }
+  }
+  EXPECT_GT(prepared, 0);
 }
 
 TEST(Composite, JointBackwardTouchesSharedStage) {

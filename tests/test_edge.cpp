@@ -1,6 +1,6 @@
 // Edge runtime tests: protocol frames, TCP transport, the live
 // EdgeServer/BrowserClient loop, agreement between the socket runtime and
-// the in-process Algorithm 2, and the simulated LocalRuntime.
+// the in-process Algorithm 2, and the simulated LocalRuntime (src/baselines).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,16 +14,19 @@
 #include "common/stopwatch.h"
 #include "common/sync.h"
 
+#include "baselines/local_runtime.h"
 #include "core/inference.h"
 #include "data/synthetic.h"
 #include "edge/client.h"
-#include "edge/local_runtime.h"
 #include "edge/server.h"
 #include "tensor/tensor_ops.h"
 #include "webinfer/export.h"
 
 namespace lcrs::edge {
 namespace {
+
+using baselines::LocalRuntime;
+using baselines::SimStep;
 
 /// One counter read out of a component's registry.
 std::int64_t counter_value(const obs::Registry& metrics, const char* name) {

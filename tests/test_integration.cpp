@@ -5,12 +5,12 @@
 
 #include <cstdio>
 
+#include "baselines/local_runtime.h"
 #include "common/bytes.h"
 #include "core/inference.h"
 #include "core/joint_trainer.h"
 #include "data/synthetic.h"
 #include "edge/client.h"
-#include "edge/local_runtime.h"
 #include "edge/server.h"
 #include "nn/model_io.h"
 #include "tensor/tensor_ops.h"
@@ -102,9 +102,9 @@ TEST(Pipeline, SocketAndSimulatedRuntimesAgreeOnDecisions) {
   edge::BrowserClient client(
       webinfer::Engine(webinfer::export_browser_model(*p.net, 1, 28, 28)),
       policy, server.port());
-  edge::LocalRuntime sim_runtime(*p.net, policy,
-                                 sim::CostModel::paper_default(),
-                                 Shape{1, 28, 28});
+  baselines::LocalRuntime sim_runtime(*p.net, policy,
+                                      sim::CostModel::paper_default(),
+                                      Shape{1, 28, 28});
 
   Rng rng(5);
   int label_agreements = 0;
@@ -112,7 +112,7 @@ TEST(Pipeline, SocketAndSimulatedRuntimesAgreeOnDecisions) {
   for (int i = 0; i < n; ++i) {
     const Tensor sample = p.data.test.image(i);
     const edge::ClientResult via_socket = client.classify(sample);
-    const edge::SimStep via_sim = sim_runtime.classify(sample, rng);
+    const baselines::SimStep via_sim = sim_runtime.classify(sample, rng);
     EXPECT_EQ(via_socket.exit_point, via_sim.exit_point) << "sample " << i;
     if (via_socket.label == via_sim.label) ++label_agreements;
   }
