@@ -5,11 +5,14 @@
 // II-B / III-B). This bench quantifies both axes: what each
 // representation ships to the browser, how long the 4G load takes, and
 // the per-sample browser compute under the device model.
+//
+// The bin column is LCRS's serialized browser blob (float conv1, the
+// bit-packed branch and the blob's header and per-op framing), the same
+// bytes as Fig. 7's LCRS column; fp32 and int8 are weight sums.
 #include <cstdio>
 
 #include "baselines/lcrs_approach.h"
 #include "bench_util.h"
-#include "binary/quantized.h"
 #include "common/logging.h"
 
 using namespace lcrs;
@@ -30,22 +33,13 @@ int main() {
     Rng rng(9);
     const models::ModelConfig cfg{arch, 3, 32, 32, 10, 1.0};
     auto mono = models::build_monolithic(cfg, rng);
-    core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
+    const baselines::LcrsModel lcrs =
+        bench::full_width_lcrs_model(arch, bench::paper_exit_fraction(arch));
 
     const std::int64_t fp32_bytes = mono->param_bytes();
-    const std::int64_t int8_bytes = binary::int8_payload_bytes(*mono);
-    // LCRS browser payload: float conv1 + bit-packed branch.
-    std::int64_t bin_bytes = net.shared_stage().param_bytes() +
-                             models::browser_payload_bytes(
-                                 net.binary_branch());
-
+    const std::int64_t int8_bytes = models::int8_payload_bytes(*mono);
+    const std::int64_t bin_bytes = lcrs.browser_model_bytes;
     const auto profiles = models::profile_layers(*mono, Shape{3, 32, 32});
-    const auto shared_prof =
-        models::profile_layers(net.shared_stage(), Shape{3, 32, 32});
-    const Shape shared_shape{net.shared_out_c(), net.shared_out_h(),
-                             net.shared_out_w()};
-    const auto branch_prof =
-        models::profile_layers(net.binary_branch(), shared_shape);
 
     const auto mb = [](std::int64_t b) {
       return static_cast<double>(b) / (1024.0 * 1024.0);
@@ -60,9 +54,8 @@ int main() {
                 cost.network().download_ms(int8_bytes),
                 cost.network().download_ms(bin_bytes),
                 cost.browser_compute_ms(profiles, 0, profiles.size()),
-                cost.browser_compute_ms(shared_prof, 0, shared_prof.size()) +
-                    cost.browser_compute_ms(branch_prof, 0,
-                                            branch_prof.size()));
+                baselines::lcrs_path_costs(lcrs, cost, sim::Scenario{})
+                    .browser_ms);
   }
 
   bench::print_rule(104);

@@ -209,7 +209,6 @@ inline baselines::ModelUnderTest full_width_model(models::Arch arch,
   baselines::ModelUnderTest model;
   model.name = models::arch_name(arch);
   model.layers = models::profile_layers(*mono, Shape{3, 32, 32});
-  model.input_elems = 3 * 32 * 32;
   return model;
 }
 

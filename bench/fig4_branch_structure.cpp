@@ -5,7 +5,8 @@
 //
 // The main branch is jointly trained once; each branch variant is then
 // trained on the frozen conv1 features, exactly the design question the
-// figure answers.
+// figure answers. The size axis is the serialized full-width browser
+// blob: float conv1 plus the packed branch and the blob's framing.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -61,15 +62,14 @@ double train_branch(nn::Sequential& branch, const Tensor& train_x,
   return nn::accuracy(branch.forward(test_x, false), test_y);
 }
 
-/// Full-width packed size of a branch structure (the figure's size axis).
+/// Full-width browser blob size of a branch structure (the size axis).
 double full_width_branch_mb(const models::BinaryBranchConfig& bc) {
   Rng rng(2);
   const models::ModelConfig full{models::Arch::kAlexNet, 3, 32, 32, 10, 1.0};
-  models::MainBranch mb = models::build_main_branch(full, rng);
-  auto branch = models::build_binary_branch(bc, mb.out_c, mb.out_h, mb.out_w,
-                                            10, rng);
-  return static_cast<double>(models::browser_payload_bytes(*branch)) /
-         (1024.0 * 1024.0);
+  core::CompositeNetwork net = core::CompositeNetwork::build(full, bc, rng);
+  const baselines::LcrsModel lcrs =
+      baselines::lcrs_model_of(net, Shape{3, 32, 32}, 0.0);
+  return static_cast<double>(lcrs.browser_model_bytes) / (1024.0 * 1024.0);
 }
 
 }  // namespace

@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   baselines::ModelUnderTest model;
   model.name = arch_name;
   model.layers = models::profile_layers(*mono, Shape{3, 32, 32});
-  model.input_elems = 3 * 32 * 32;
 
   const sim::CostModel cost = sim::CostModel::paper_default();
   const sim::Scenario scenario;
@@ -42,9 +41,7 @@ int main(int argc, char** argv) {
               "sliceMB", "uploadKB", "native(ms)", "web(ms)", "webcomm");
   for (std::size_t cut = 0; cut <= n; ++cut) {
     const std::int64_t upload =
-        cut == 0 ? scenario.camera_frame_bytes
-                 : sim::CostModel::boundary_bytes(model.layers, cut,
-                                                  model.input_elems);
+        cut < n ? model.upload_bytes(cut, scenario) : 0;
     const double native_ms =
         cost.compute_ms(model.layers, 0, cut, native) +
         (cut < n ? cost.network().upload_ms(upload) +

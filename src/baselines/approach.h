@@ -32,17 +32,27 @@ struct ApproachCost {
 /// metrics.
 void record_approach_cost(const ApproachCost& cost);
 
+/// Encoded size of the kCompleteRequest frame (edge/protocol.h) that
+/// uploads one sample's activation of per-sample shape `sample_shape`,
+/// sent as a batch-1 tensor.
+std::int64_t upload_frame_bytes(const Shape& sample_shape);
+
 /// A full-precision model prepared for partition-based approaches.
 struct ModelUnderTest {
   std::string name;
   std::vector<models::LayerProfile> layers;  // monolithic profile
-  std::int64_t input_elems = 0;              // DNN input tensor elements
 
   /// Serialized bytes of the browser-side slice [0, cut).
   std::int64_t prefix_model_bytes(std::size_t cut) const;
   std::int64_t total_model_bytes() const {
     return prefix_model_bytes(layers.size());
   }
+
+  /// Upload bytes when the browser stops at `cut` < layers.size(): the
+  /// raw camera frame for cut 0 (the task itself), otherwise the request
+  /// frame carrying layer cut-1's activation.
+  std::int64_t upload_bytes(std::size_t cut,
+                            const sim::Scenario& scenario) const;
 };
 
 }  // namespace lcrs::baselines

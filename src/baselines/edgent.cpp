@@ -6,14 +6,6 @@ namespace lcrs::baselines {
 
 namespace {
 
-std::int64_t upload_bytes_at(const ModelUnderTest& model,
-                             const sim::Scenario& scenario,
-                             std::size_t cut) {
-  if (cut == 0) return scenario.camera_frame_bytes;
-  return sim::CostModel::boundary_bytes(model.layers, cut,
-                                        model.input_elems);
-}
-
 /// Native-profile latency of running [0,cut) on device, [cut,exit) at the
 /// edge, exiting through the side classifier after `exit`. When
 /// exit <= cut everything (including the exit) stays on device and no
@@ -30,7 +22,7 @@ double native_latency(const ModelUnderTest& model, const sim::CostModel& cost,
     return ms;
   }
   ms += cost.compute_ms(model.layers, 0, cut, native);
-  ms += cost.network().upload_ms(upload_bytes_at(model, scenario, cut));
+  ms += cost.network().upload_ms(model.upload_bytes(cut, scenario));
   ms += cost.edge_compute_ms(model.layers, cut, exit);
   ms += cost.edge().compute_ms(config.branch_flops);
   ms += cost.network().download_ms(scenario.result_bytes);
@@ -103,7 +95,7 @@ ApproachCost evaluate_edgent(const ModelUnderTest& model,
     device_ms += branch_ms;
     c.compute_ms += branch_ms;
   } else {
-    up = cost.network().upload_ms(upload_bytes_at(model, scenario, d.cut));
+    up = cost.network().upload_ms(model.upload_bytes(d.cut, scenario));
     down = cost.network().download_ms(scenario.result_bytes);
     c.compute_ms += cost.edge_compute_ms(model.layers, d.cut, d.exit) +
                     cost.edge().compute_ms(config.branch_flops);

@@ -1,18 +1,8 @@
 #include "baselines/lcrs_approach.h"
 
-#include "edge/protocol.h"
 #include "webinfer/export.h"
 
 namespace lcrs::baselines {
-
-std::int64_t upload_frame_bytes(const Shape& feature_shape) {
-  LCRS_CHECK(feature_shape.rank() == 3, "feature_shape must be [C, H, W]");
-  const Tensor map{Shape{1, feature_shape[0], feature_shape[1],
-                         feature_shape[2]}};
-  const edge::Frame frame{edge::MsgType::kCompleteRequest,
-                          edge::make_complete_request(map)};
-  return static_cast<std::int64_t>(edge::encode_frame(frame).size());
-}
 
 LcrsModel lcrs_model_of(core::CompositeNetwork& net, const Shape& sample_shape,
                         double exit_fraction) {

@@ -25,10 +25,6 @@ struct LcrsModel {
   double exit_fraction = 0.8;            // P(exit at browser)
 };
 
-/// Encoded size of the kCompleteRequest frame that uploads one
-/// [C, H, W] feature map (sent as a batch-1 [1, C, H, W] tensor).
-std::int64_t upload_frame_bytes(const Shape& feature_shape);
-
 /// Profiles conv1, the binary branch and the main rest of `net` once for
 /// a per-sample input of `sample_shape` [C, H, W], and takes the upload
 /// and browser-blob sizes from the real encoders.

@@ -2,20 +2,6 @@
 
 namespace lcrs::baselines {
 
-namespace {
-
-/// Upload bytes when the browser stops at `cut`: the raw camera frame for
-/// cut 0 (the task itself), otherwise the boundary activation tensor.
-std::int64_t upload_bytes_at(const ModelUnderTest& model,
-                             const sim::Scenario& scenario,
-                             std::size_t cut) {
-  if (cut == 0) return scenario.camera_frame_bytes;
-  return sim::CostModel::boundary_bytes(model.layers, cut,
-                                        model.input_elems);
-}
-
-}  // namespace
-
 NeurosurgeonDecision neurosurgeon_partition(const ModelUnderTest& model,
                                             const sim::CostModel& cost,
                                             const sim::Scenario& scenario,
@@ -31,7 +17,7 @@ NeurosurgeonDecision neurosurgeon_partition(const ModelUnderTest& model,
     double comm_ms = 0.0;
     if (cut < n_layers) {
       comm_ms = cost.network().upload_ms(
-                    upload_bytes_at(model, scenario, cut)) +
+                    model.upload_bytes(cut, scenario)) +
                 cost.network().download_ms(scenario.result_bytes);
     }
     const double total = device_ms + edge_ms + comm_ms;
@@ -60,7 +46,7 @@ ApproachCost evaluate_neurosurgeon(const ModelUnderTest& model,
   const double load = cost.network().download_ms(c.browser_model_bytes) / n;
   double up = 0.0, down = 0.0;
   if (d.cut < n_layers) {
-    up = cost.network().upload_ms(upload_bytes_at(model, scenario, d.cut));
+    up = cost.network().upload_ms(model.upload_bytes(d.cut, scenario));
     down = cost.network().download_ms(scenario.result_bytes);
   }
   c.comm_ms = load + up + down;

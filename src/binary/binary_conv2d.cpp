@@ -120,11 +120,4 @@ std::int64_t BinaryConv2d::flops_per_sample() const {
   return 2 * out_c_ * geom_.patch_size() * geom_.out_h() * geom_.out_w();
 }
 
-std::int64_t BinaryConv2d::binary_weight_bytes() const {
-  const std::int64_t patch = geom_.patch_size();
-  const std::int64_t words_per_row = (patch + 63) / 64;
-  return out_c_ * words_per_row * 8    // packed sign bits
-         + out_c_ * 4;                 // float alpha per filter
-}
-
 }  // namespace lcrs::binary

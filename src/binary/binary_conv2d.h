@@ -30,10 +30,6 @@ class BinaryConv2d : public nn::Layer {
   std::int64_t out_channels() const { return out_c_; }
   nn::Param& weight() { return weight_; }
 
-  /// Bytes of the binary weight payload (bits + per-filter alphas) -- the
-  /// browser-side model size Tables I / Fig. 7 account.
-  std::int64_t binary_weight_bytes() const;
-
  private:
   Tensor reference_forward(const Tensor& input, bool train);
 

@@ -87,11 +87,4 @@ std::vector<nn::Param*> BinaryLinear::params() {
   return ps;
 }
 
-std::int64_t BinaryLinear::binary_weight_bytes() const {
-  const std::int64_t words_per_row = (in_ + 63) / 64;
-  std::int64_t bytes = out_ * words_per_row * 8 + out_ * 4;
-  if (has_bias_) bytes += out_ * 4;
-  return bytes;
-}
-
 }  // namespace lcrs::binary

@@ -29,7 +29,6 @@ class BinaryLinear : public nn::Layer {
   nn::Param& weight() { return weight_; }
   bool has_bias() const { return has_bias_; }
 
-  std::int64_t binary_weight_bytes() const;
   const Tensor& bias_values() const { return bias_.value; }
 
  private:

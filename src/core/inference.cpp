@@ -34,18 +34,6 @@ InferenceResult collaborative_infer(CompositeNetwork& net,
   return r;
 }
 
-std::vector<InferenceResult> collaborative_infer_batch(
-    CompositeNetwork& net, const ExitPolicy& policy, const Tensor& batch) {
-  LCRS_CHECK(batch.rank() == 4, "batch must be NCHW");
-  std::vector<InferenceResult> results;
-  results.reserve(static_cast<std::size_t>(batch.dim(0)));
-  for (std::int64_t i = 0; i < batch.dim(0); ++i) {
-    results.push_back(
-        collaborative_infer(net, policy, batch.slice_outer(i, i + 1)));
-  }
-  return results;
-}
-
 MainBatchCompletion complete_main_batch(CompositeNetwork& net,
                                         const Tensor& shared_batch) {
   LCRS_CHECK(shared_batch.rank() == 4 && shared_batch.dim(0) >= 1,

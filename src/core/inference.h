@@ -4,7 +4,8 @@
 // of the binary softmax clears tau the sample exits locally (LCRS-B),
 // otherwise the conv1 feature map goes to the edge server which finishes
 // the main branch (LCRS-M). This module is the pure decision logic; the
-// simulated and socket runtimes in src/edge wrap it with transport.
+// simulated runtime (src/baselines) and the socket client (src/edge) wrap
+// it with transport.
 #pragma once
 
 #include "core/composite.h"
@@ -29,11 +30,6 @@ struct InferenceResult {
 InferenceResult collaborative_infer(CompositeNetwork& net,
                                     const ExitPolicy& policy,
                                     const Tensor& sample);
-
-/// Batched variant: per-sample decisions over [N, C, H, W]; samples that
-/// miss the threshold are completed through the main branch together.
-std::vector<InferenceResult> collaborative_infer_batch(
-    CompositeNetwork& net, const ExitPolicy& policy, const Tensor& batch);
 
 /// One batched edge-side completion: conv1 feature maps from k requests,
 /// stacked [k, C, H, W], finished through the main branch in a single

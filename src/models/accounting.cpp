@@ -4,22 +4,10 @@
 
 #include "binary/binary_conv2d.h"
 #include "binary/binary_linear.h"
+#include "nn/conv2d.h"
+#include "nn/linear.h"
 
 namespace lcrs::models {
-
-namespace {
-
-std::int64_t binary_bytes_of(nn::Layer& layer) {
-  if (auto* bc = dynamic_cast<binary::BinaryConv2d*>(&layer)) {
-    return bc->binary_weight_bytes();
-  }
-  if (auto* bl = dynamic_cast<binary::BinaryLinear*>(&layer)) {
-    return bl->binary_weight_bytes();
-  }
-  return 0;
-}
-
-}  // namespace
 
 std::vector<LayerProfile> profile_layers(nn::Sequential& model,
                                          const Shape& sample_shape) {
@@ -32,13 +20,15 @@ std::vector<LayerProfile> profile_layers(nn::Sequential& model,
   for (std::size_t i = 0; i < model.size(); ++i) {
     nn::Layer& layer = model.layer(i);
     x = layer.forward(x, /*train=*/false);
+    const std::vector<std::int64_t>& out = x.shape().dims();
     LayerProfile p;
     p.kind = layer.kind();
     p.flops = layer.flops_per_sample();
     p.param_bytes = layer.param_bytes();
-    p.binary_bytes = binary_bytes_of(layer);
-    p.output_elems = x.numel();
-    p.is_binary = p.binary_bytes > 0;
+    p.output_shape = Shape(std::vector<std::int64_t>(out.begin() + 1,
+                                                     out.end()));
+    p.is_binary = dynamic_cast<binary::BinaryConv2d*>(&layer) != nullptr ||
+                  dynamic_cast<binary::BinaryLinear*>(&layer) != nullptr;
     profiles.push_back(std::move(p));
   }
   return profiles;
@@ -49,19 +39,26 @@ ModelProfile summarize(const std::vector<LayerProfile>& layers) {
   for (const auto& l : layers) {
     mp.total_flops += l.flops;
     mp.total_param_bytes += l.param_bytes;
-    mp.total_binary_bytes += l.is_binary ? l.binary_bytes : l.param_bytes;
     ++mp.layer_count;
   }
   return mp;
 }
 
-std::int64_t browser_payload_bytes(nn::Sequential& model) {
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < model.size(); ++i) {
-    nn::Layer& layer = model.layer(i);
-    const std::int64_t bin = binary_bytes_of(layer);
-    total += bin > 0 ? bin : layer.param_bytes();
+std::int64_t int8_payload_bytes(nn::Layer& model) {
+  if (auto* conv = dynamic_cast<nn::Conv2d*>(&model)) {
+    std::int64_t b = conv->weight().numel() + 4 * conv->out_channels();
+    if (conv->has_bias()) b += 4 * conv->out_channels();
+    return b;
   }
+  if (auto* lin = dynamic_cast<nn::Linear*>(&model)) {
+    std::int64_t b = lin->weight().numel() + 4 * lin->out_features();
+    if (lin->has_bias()) b += 4 * lin->out_features();
+    return b;
+  }
+  const auto children = model.children();
+  if (children.empty()) return model.param_bytes();
+  std::int64_t total = 0;
+  for (nn::Layer* child : children) total += int8_payload_bytes(*child);
   return total;
 }
 

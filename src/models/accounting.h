@@ -13,10 +13,9 @@ namespace lcrs::models {
 struct LayerProfile {
   std::string kind;            // layer kind tag ("conv2d", "binary_linear"…)
   std::int64_t flops = 0;      // MAC-equivalent flops for one sample
-  std::int64_t param_bytes = 0;       // full-precision serialized weights
-  std::int64_t binary_bytes = 0;      // bit-packed weights (binary layers)
-  std::int64_t output_elems = 0;      // activation elements for one sample
-  bool is_binary = false;
+  std::int64_t param_bytes = 0;  // full-precision serialized weights
+  Shape output_shape;            // activation shape for one sample
+  bool is_binary = false;        // priced through the XNOR path
 };
 
 /// Profiles each layer by dry-running a single zero sample through the
@@ -28,14 +27,14 @@ std::vector<LayerProfile> profile_layers(nn::Sequential& model,
 struct ModelProfile {
   std::int64_t total_flops = 0;
   std::int64_t total_param_bytes = 0;
-  std::int64_t total_binary_bytes = 0;  // size if binary layers ship packed
   std::int64_t layer_count = 0;
 };
 ModelProfile summarize(const std::vector<LayerProfile>& layers);
 
-/// Size in bytes of the model as the browser would download it: binary
-/// layers as packed bits + scales, everything else float32.
-std::int64_t browser_payload_bytes(nn::Sequential& model);
+/// Byte size of a whole model with conv/linear weights stored as int8
+/// plus one float scale per output filter, everything else float32: the
+/// classic compression alternative the binary branch is compared against.
+std::int64_t int8_payload_bytes(nn::Layer& model);
 
 /// Pretty "12.3 MB" style formatting used by the table harnesses.
 std::string format_mb(std::int64_t bytes);

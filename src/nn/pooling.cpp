@@ -72,65 +72,6 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-AvgPool2d::AvgPool2d(std::int64_t kernel, std::int64_t stride)
-    : kernel_(kernel), stride_(stride) {
-  LCRS_CHECK(kernel > 0 && stride > 0, "pool kernel/stride must be positive");
-}
-
-Tensor AvgPool2d::forward(const Tensor& input, bool train) {
-  LCRS_CHECK(input.rank() == 4, "avgpool expects NCHW");
-  const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
-                     w = input.dim(3);
-  const std::int64_t oh = pooled_extent(h, kernel_, stride_);
-  const std::int64_t ow = pooled_extent(w, kernel_, stride_);
-  const std::int64_t k = kernel_, s = stride_;
-  const float inv = 1.0f / static_cast<float>(k * k);
-  Tensor out{Shape{n, c, oh, ow}};
-  float* dst = out.data();
-  for (std::int64_t p = 0; p < n * c; ++p) {
-    const float* plane = input.data() + p * h * w;
-    for (std::int64_t y = 0; y < oh; ++y) {
-      for (std::int64_t x = 0; x < ow; ++x) {
-        const float* window = plane + y * s * w + x * s;
-        float acc = 0.0f;
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          for (std::int64_t kx = 0; kx < k; ++kx) acc += window[ky * w + kx];
-        }
-        *dst++ = acc * inv;
-      }
-    }
-  }
-  if (train) input_shape_ = input.shape();
-  return out;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
-  LCRS_CHECK(input_shape_.rank() == 4,
-             "avgpool backward without cached forward");
-  const std::int64_t n = input_shape_[0], c = input_shape_[1],
-                     h = input_shape_[2], w = input_shape_[3];
-  const std::int64_t oh = grad_output.dim(2), ow = grad_output.dim(3);
-  const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
-  Tensor grad_input{input_shape_};
-  std::int64_t oi = 0;
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      float* plane = grad_input.data() + (b * c + ch) * h * w;
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t x = 0; x < ow; ++x, ++oi) {
-          const float g = grad_output[oi] * inv;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              plane[(y * stride_ + ky) * w + (x * stride_ + kx)] += g;
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad_input;
-}
-
 Tensor GlobalAvgPool::forward(const Tensor& input, bool train) {
   LCRS_CHECK(input.rank() == 4, "gap expects NCHW");
   const std::int64_t n = input.dim(0), c = input.dim(1);

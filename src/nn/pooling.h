@@ -25,20 +25,6 @@ class MaxPool2d : public Layer {
   std::vector<std::int64_t> argmax_;  // flat input index per output element
 };
 
-/// Average pooling with square window.
-class AvgPool2d : public Layer {
- public:
-  AvgPool2d(std::int64_t kernel, std::int64_t stride);
-
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::string kind() const override { return "avgpool"; }
-
- private:
-  std::int64_t kernel_, stride_;
-  Shape input_shape_;
-};
-
 /// Collapses each channel's spatial plane to its mean: [N,C,H,W] -> [N,C].
 class GlobalAvgPool : public Layer {
  public:

@@ -1,7 +1,5 @@
 #include "sim/cost_model.h"
 
-#include "tensor/serialize.h"
-
 namespace lcrs::sim {
 
 CostModel CostModel::paper_default() {
@@ -19,16 +17,6 @@ double CostModel::compute_ms(const std::vector<models::LayerProfile>& layers,
                               : device.compute_ms(layers[i].flops);
   }
   return ms;
-}
-
-std::int64_t CostModel::boundary_bytes(
-    const std::vector<models::LayerProfile>& layers, std::size_t cut,
-    std::int64_t input_elems) {
-  LCRS_CHECK(cut <= layers.size(), "boundary cut out of range");
-  const std::int64_t elems =
-      cut == 0 ? input_elems : layers[cut - 1].output_elems;
-  // Wire framing matches the tensor serializer: header + f32 payload.
-  return 8 + 8 * 4 + 4 * elems;
 }
 
 }  // namespace lcrs::sim

@@ -50,12 +50,6 @@ class CostModel {
     return compute_ms(layers, begin, end, edge_);
   }
 
-  /// Bytes of the activation tensor at layer boundary `cut` (output of
-  /// layer cut-1), for one sample; cut = 0 means the raw input.
-  static std::int64_t boundary_bytes(
-      const std::vector<models::LayerProfile>& layers, std::size_t cut,
-      std::int64_t input_elems);
-
   const DeviceModel& browser() const { return browser_; }
   const DeviceModel& edge() const { return edge_; }
   const NetworkModel& network() const { return net_; }

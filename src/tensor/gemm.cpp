@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/error.h"
 #include "common/parallel.h"
 #include "common/simd.h"
 
@@ -486,27 +485,6 @@ void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
       c[i * n + j] = beta * c[i * n + j] + acc;
     }
   }
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  LCRS_CHECK(a.rank() == 2 && b.rank() == 2, "matmul expects rank-2 tensors");
-  LCRS_CHECK(a.dim(1) == b.dim(0), "matmul inner dims mismatch: "
-                                       << a.shape().to_string() << " x "
-                                       << b.shape().to_string());
-  Tensor c{Shape{a.dim(0), b.dim(1)}};
-  gemm(a.data(), b.data(), c.data(), a.dim(0), a.dim(1), b.dim(1));
-  return c;
-}
-
-Tensor matmul_bt(const Tensor& a, const Tensor& b_t) {
-  LCRS_CHECK(a.rank() == 2 && b_t.rank() == 2,
-             "matmul_bt expects rank-2 tensors");
-  LCRS_CHECK(a.dim(1) == b_t.dim(1), "matmul_bt inner dims mismatch: "
-                                         << a.shape().to_string() << " x "
-                                         << b_t.shape().to_string() << "^T");
-  Tensor c{Shape{a.dim(0), b_t.dim(0)}};
-  gemm_bt(a.data(), b_t.data(), c.data(), a.dim(0), a.dim(1), b_t.dim(0));
-  return c;
 }
 
 }  // namespace lcrs

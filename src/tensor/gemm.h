@@ -40,8 +40,6 @@
 
 #include <cstdint>
 
-#include "tensor/tensor.h"
-
 namespace lcrs {
 
 /// C[m x n] = A[m x k] * B[k x n]. `beta` scales the existing contents of
@@ -60,9 +58,5 @@ void gemm_bt(const float* a, const float* b, float* c, std::int64_t m,
 /// Reference triple loop; used by tests as ground truth.
 void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n, float beta = 0.0f);
-
-/// Convenience wrappers on Tensor (rank-2 operands).
-Tensor matmul(const Tensor& a, const Tensor& b);
-Tensor matmul_bt(const Tensor& a, const Tensor& b_t);
 
 }  // namespace lcrs

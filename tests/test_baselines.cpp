@@ -25,7 +25,6 @@ ModelUnderTest make_model(models::Arch arch, double width = 1.0) {
   ModelUnderTest m;
   m.name = models::arch_name(arch);
   m.layers = models::profile_layers(*mono, Shape{3, 32, 32});
-  m.input_elems = 3 * 32 * 32;
   return m;
 }
 
@@ -87,6 +86,37 @@ TEST(Neurosurgeon, WebExecutionPaysModelLoad) {
   EXPECT_GT(c.browser_model_bytes, 0);
   EXPECT_GT(c.total_ms, 0.0);
   EXPECT_NEAR(c.total_ms, c.comm_ms + c.compute_ms, 1e-9);
+}
+
+// A partition cut's upload is the request frame that would carry the real
+// activation there: 4-D after conv and pool layers, 2-D after flatten and
+// FC layers. Cut 0 uploads the camera frame itself.
+TEST(Partition, UploadBytesAreTheEncodedActivation) {
+  for (const models::ModelConfig& cfg :
+       {models::ModelConfig{models::Arch::kLeNet, 3, 32, 32, 10, 1.0},
+        models::ModelConfig{models::Arch::kAlexNet, 3, 32, 32, 10, 0.5}}) {
+    SCOPED_TRACE(models::arch_name(cfg.arch));
+    Rng rng(8);
+    auto mono = models::build_monolithic(cfg, rng);
+    ModelUnderTest model;
+    model.layers = models::profile_layers(*mono, Shape{3, 32, 32});
+    const sim::Scenario scenario;
+    EXPECT_EQ(model.upload_bytes(0, scenario), scenario.camera_frame_bytes);
+
+    Tensor x = Tensor::randn(Shape{1, 3, 32, 32}, rng);
+    bool saw_4d = false, saw_2d = false;
+    for (std::size_t cut = 1; cut <= model.layers.size(); ++cut) {
+      x = mono->layer(cut - 1).forward(x, false);
+      saw_4d |= x.rank() == 4;
+      saw_2d |= x.rank() == 2;
+      const edge::Frame request{edge::MsgType::kCompleteRequest,
+                                edge::make_complete_request(x)};
+      EXPECT_EQ(upload_frame_bytes(model.layers[cut - 1].output_shape),
+                std::ssize(edge::encode_frame(request)))
+          << "cut " << cut << " after " << model.layers[cut - 1].kind;
+    }
+    EXPECT_TRUE(saw_4d && saw_2d);
+  }
 }
 
 TEST(Edgent, RespectsDepthConstraint) {

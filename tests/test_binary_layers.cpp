@@ -130,7 +130,10 @@ TEST(BinaryConv, WeightBytesRoughly32xSmaller) {
   Rng rng(5);
   BinaryConv2d conv(64, 128, 3, 1, 1, 16, 16, rng);
   const std::int64_t float_bytes = conv.param_bytes();
-  const std::int64_t bin_bytes = conv.binary_weight_bytes();
+  const PackedFilters packed = pack_filters(conv.weight().value);
+  const std::int64_t bin_bytes =
+      packed.bits.rows() * packed.bits.words_per_row() * 8 +
+      packed.alpha.numel() * 4;
   EXPECT_GT(float_bytes, bin_bytes * 20);
   EXPECT_LT(float_bytes, bin_bytes * 40);
 }

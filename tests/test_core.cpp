@@ -254,23 +254,6 @@ TEST(Inference, MainPathMatchesDirectMainForward) {
   EXPECT_EQ(r.predicted, direct_pred[0]);
 }
 
-TEST(Inference, BatchVariantMatchesSingleCalls) {
-  Rng rng(9);
-  CompositeNetwork net = tiny_composite(rng);
-  const Tensor batch = Tensor::randn(Shape{5, 1, 28, 28}, rng);
-  const ExitPolicy policy{0.3};
-  const auto results = collaborative_infer_batch(net, policy, batch);
-  ASSERT_EQ(results.size(), 5u);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    const InferenceResult single =
-        collaborative_infer(net, policy, batch.slice_outer(i, i + 1));
-    EXPECT_EQ(results[static_cast<std::size_t>(i)].predicted,
-              single.predicted);
-    EXPECT_EQ(results[static_cast<std::size_t>(i)].exit_point,
-              single.exit_point);
-  }
-}
-
 TEST(ExitPolicy, MaxProbGateSemantics) {
   const MaxProbPolicy p{0.8};
   std::vector<float> confident{0.85f, 0.1f, 0.05f};

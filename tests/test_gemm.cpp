@@ -194,35 +194,5 @@ TEST(GemmSmallBatch, EveryBatchSizeMatchesBatchOfEightRowForRow) {
   }
 }
 
-TEST(Matmul, TensorWrapper) {
-  Rng rng(9);
-  const Tensor a = Tensor::randn(Shape{4, 6}, rng);
-  const Tensor b = Tensor::randn(Shape{6, 3}, rng);
-  const Tensor c = matmul(a, b);
-  EXPECT_EQ(c.shape(), (Shape{4, 3}));
-  // One spot value against a manual dot product.
-  float dot = 0.0f;
-  for (std::int64_t kk = 0; kk < 6; ++kk) dot += a.at2(1, kk) * b.at2(kk, 2);
-  EXPECT_NEAR(c.at2(1, 2), dot, 1e-4);
-}
-
-TEST(Matmul, MismatchThrows) {
-  Rng rng(9);
-  const Tensor a = Tensor::randn(Shape{4, 6}, rng);
-  const Tensor b = Tensor::randn(Shape{5, 3}, rng);
-  EXPECT_THROW(matmul(a, b), Error);
-}
-
-TEST(Matmul, MatmulBtEqualsExplicitTranspose) {
-  Rng rng(11);
-  const Tensor a = Tensor::randn(Shape{5, 8}, rng);
-  const Tensor bt = Tensor::randn(Shape{7, 8}, rng);
-  Tensor b{Shape{8, 7}};
-  for (std::int64_t i = 0; i < 7; ++i) {
-    for (std::int64_t j = 0; j < 8; ++j) b.at2(j, i) = bt.at2(i, j);
-  }
-  EXPECT_LT(max_abs_diff(matmul_bt(a, bt), matmul(a, b)), 1e-4f);
-}
-
 }  // namespace
 }  // namespace lcrs

@@ -156,13 +156,6 @@ TEST(GradCheck, MaxPool) {
                   Shape{2, 3, 3, 3});
 }
 
-TEST(GradCheck, AvgPool) {
-  Rng rng(8);
-  AvgPool2d pool(2, 2);
-  check_gradients(pool, Tensor::randn(Shape{2, 2, 6, 6}, rng),
-                  Shape{2, 2, 3, 3});
-}
-
 TEST(GradCheck, GlobalAvgPool) {
   Rng rng(9);
   GlobalAvgPool gap;

@@ -3,12 +3,20 @@
 // is consistent, and full-width model sizes land in the paper's ballpark.
 #include <gtest/gtest.h>
 
+#include "core/composite.h"
 #include "models/accounting.h"
 #include "models/zoo.h"
 #include "tensor/tensor_ops.h"
+#include "webinfer/export.h"
 
 namespace lcrs::models {
 namespace {
+
+/// Size of the serialized browser blob (conv1 + packed binary branch).
+std::int64_t blob_bytes(core::CompositeNetwork& net, const ModelConfig& cfg) {
+  return std::ssize(webinfer::serialize(webinfer::export_browser_model(
+      net, cfg.in_channels, cfg.in_h, cfg.in_w)));
+}
 
 struct ZooCase {
   Arch arch;
@@ -109,14 +117,11 @@ TEST(Zoo, BinaryBranchIsMuchSmallerThanMainBranch) {
   Rng rng(23);
   for (const Arch arch : {Arch::kAlexNet, Arch::kResNet18, Arch::kVgg16}) {
     const ModelConfig cfg{arch, 3, 32, 32, 10, 1.0};
-    MainBranch mb = build_main_branch(cfg, rng);
-    auto branch = build_binary_branch(default_branch(arch), mb.out_c,
-                                      mb.out_h, mb.out_w, 10, rng);
+    core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
     const std::int64_t main_bytes =
-        mb.conv1->param_bytes() + mb.rest->param_bytes();
-    const std::int64_t browser_bytes = browser_payload_bytes(*branch);
+        net.shared_stage().param_bytes() + net.main_rest().param_bytes();
     // Paper: 16x-30x smaller.
-    EXPECT_GT(main_bytes, browser_bytes * 10)
+    EXPECT_GT(main_bytes, blob_bytes(net, cfg) * 10)
         << arch_name(arch) << " branch not small enough";
   }
 }
@@ -146,7 +151,7 @@ TEST(Accounting, ProfileCoversEveryLayer) {
   EXPECT_EQ(mp.total_flops, mono->flops_per_sample());
   EXPECT_EQ(mp.total_param_bytes, mono->param_bytes());
   // The final layer must output the 10 class logits.
-  EXPECT_EQ(profiles.back().output_elems, 10);
+  EXPECT_EQ(profiles.back().output_shape, (Shape{10}));
 }
 
 TEST(Accounting, BinaryLayersAreFlagged) {
@@ -156,13 +161,30 @@ TEST(Accounting, BinaryLayersAreFlagged) {
   const auto profiles = profile_layers(*branch, Shape{8, 14, 14});
   int binary_count = 0;
   for (const auto& p : profiles) {
-    if (p.is_binary) {
-      ++binary_count;
-      EXPECT_GT(p.binary_bytes, 0);
-      EXPECT_LT(p.binary_bytes, p.param_bytes);
-    }
+    EXPECT_EQ(p.is_binary, p.kind.starts_with("binary_")) << p.kind;
+    if (p.is_binary) ++binary_count;
   }
   EXPECT_EQ(binary_count, 2);  // one binary conv + one binary fc
+}
+
+TEST(Int8Payload, RoughlyQuartersAFullPrecisionModel) {
+  Rng rng(5);
+  const ModelConfig cfg{Arch::kAlexNet, 3, 32, 32, 10, 0.5};
+  auto mono = build_monolithic(cfg, rng);
+  const std::int64_t float_bytes = mono->param_bytes();
+  const std::int64_t int8_bytes = int8_payload_bytes(*mono);
+  EXPECT_GT(float_bytes, int8_bytes * 3);
+  EXPECT_LT(float_bytes, int8_bytes * 5);
+}
+
+TEST(Int8Payload, BinaryPayloadStillWinsByFar) {
+  // The compression ablation's headline ordering: LCRS's browser blob <<
+  // int8 model << float model, on the full-width AlexNet.
+  Rng rng(6);
+  const ModelConfig cfg{Arch::kAlexNet, 3, 32, 32, 10, 1.0};
+  auto mono = build_monolithic(cfg, rng);
+  core::CompositeNetwork net = core::CompositeNetwork::build(cfg, rng);
+  EXPECT_GT(int8_payload_bytes(*mono), blob_bytes(net, cfg) * 10);
 }
 
 TEST(Accounting, FormatMb) {

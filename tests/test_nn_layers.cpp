@@ -91,28 +91,6 @@ Tensor reference_max_pool(const Tensor& x, std::int64_t k, std::int64_t s) {
   return out;
 }
 
-Tensor reference_avg_pool(const Tensor& x, std::int64_t k, std::int64_t s) {
-  const std::int64_t oh = (x.dim(2) - k) / s + 1, ow = (x.dim(3) - k) / s + 1;
-  const float inv = 1.0f / static_cast<float>(k * k);
-  Tensor out{Shape{x.dim(0), x.dim(1), oh, ow}};
-  for (std::int64_t b = 0; b < x.dim(0); ++b) {
-    for (std::int64_t c = 0; c < x.dim(1); ++c) {
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t xx = 0; xx < ow; ++xx) {
-          float acc = 0.0f;
-          for (std::int64_t ky = 0; ky < k; ++ky) {
-            for (std::int64_t kx = 0; kx < k; ++kx) {
-              acc += x.at4(b, c, y * s + ky, xx * s + kx);
-            }
-          }
-          out.at4(b, c, y, xx) = acc * inv;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 TEST(Conv2d, OutputShapeAndBias) {
   Rng rng(1);
   Conv2d conv(3, 8, 3, 1, 1, 16, 16, rng);
@@ -268,8 +246,6 @@ TEST(EvalForwards, PoolsMatchReferenceBitForBit) {
     const Tensor want_max = reference_max_pool(x, k, s);
     expect_bit_equal(max_pool.forward(x, false), want_max);
     expect_bit_equal(max_pool.forward(x, true), want_max);
-    AvgPool2d avg_pool(k, s);
-    expect_bit_equal(avg_pool.forward(x, false), reference_avg_pool(x, k, s));
   }
   // The all-NaN/-inf corner window pools to -inf: NaN never wins.
   MaxPool2d pool(3, 2);
@@ -311,13 +287,6 @@ TEST(MaxPool, TrainArgmaxRoutesGradientToFirstWindowMax) {
     }
   }
   expect_bit_equal(pool.backward(g), want);
-}
-
-TEST(AvgPool, AveragesWindow) {
-  AvgPool2d pool(2, 2);
-  Tensor x{Shape{1, 1, 2, 2}};
-  x[0] = 1.0f; x[1] = 2.0f; x[2] = 3.0f; x[3] = 6.0f;
-  EXPECT_EQ(pool.forward(x, false)[0], 3.0f);
 }
 
 TEST(GlobalAvgPool, CollapsesSpatialDims) {

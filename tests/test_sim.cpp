@@ -101,17 +101,6 @@ TEST(CostModel, BinaryLayersPricedThroughXnorPath) {
               mobile_web_browser().binary_speedup, 1e-6);
 }
 
-TEST(CostModel, BoundaryBytesUseLayerOutputs) {
-  std::vector<models::LayerProfile> layers(2);
-  layers[0].output_elems = 100;
-  layers[1].output_elems = 10;
-  // Cut 0 = raw input; cut 1 = first layer's output; cut 2 = logits.
-  EXPECT_EQ(CostModel::boundary_bytes(layers, 0, 784), 40 + 4 * 784);
-  EXPECT_EQ(CostModel::boundary_bytes(layers, 1, 784), 40 + 4 * 100);
-  EXPECT_EQ(CostModel::boundary_bytes(layers, 2, 784), 40 + 4 * 10);
-  EXPECT_THROW(CostModel::boundary_bytes(layers, 3, 784), Error);
-}
-
 TEST(CostModel, RealModelEdgeFasterThanBrowser) {
   Rng rng(1);
   const models::ModelConfig cfg{models::Arch::kAlexNet, 3, 32, 32, 10, 0.25};
